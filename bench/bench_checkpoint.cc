@@ -3,8 +3,8 @@
 // Three questions an operator sizes the knobs with:
 //   1. What does write-ahead journaling cost per published event
 //      (append throughput, with and without fsync)?
-//   2. What does one snapshot cost, as a function of the in-flight window
-//      it has to serialize (the WITHIN spans of registered queries)?
+//   2. What does one snapshot cost, as a function of the live operator
+//      state it has to serialize (the WITHIN spans of registered queries)?
 //   3. How fast does recovery replay a journal suffix (bounds worst-case
 //      restart time for a given checkpoint_journal_bytes)?
 //
@@ -122,9 +122,9 @@ void BM_AckCursorCommit(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 
-/// One snapshot at a quiesce point, with the in-flight window scaled by the
-/// registered query's WITHIN span (arg = window ticks). Larger windows
-/// retain more events, so the WINDOW section dominates snapshot cost.
+/// One snapshot at a quiesce point, with the live operator state scaled by
+/// the registered query's WITHIN span (arg = window ticks): larger windows
+/// keep more partial matches and negation candidates to serialize.
 void BM_SnapshotCost(benchmark::State& state) {
   const auto& stream = Stream(20000);
   std::string dir = FreshDir("snapshot_" + std::to_string(state.range(0)));
@@ -143,17 +143,13 @@ void BM_SnapshotCost(benchmark::State& state) {
     return;
   }
   for (const auto& event : stream) system.event_bus().OnEvent(event);
-  size_t window = 0;
   for (auto _ : state) {
     Status taken = system.Checkpoint();
     if (!taken.ok()) {
       state.SkipWithError(taken.ToString().c_str());
       return;
     }
-    window = system.runtime()->replay_buffer_len();
   }
-  state.counters["window_events"] =
-      benchmark::Counter(static_cast<double>(window));
   std::filesystem::remove_all(dir);
 }
 

@@ -1,4 +1,4 @@
-// Experiment E6 (DESIGN.md): cleaning-layer throughput.
+// Experiment E6: cleaning-layer throughput.
 //
 // §1 requires that "filtering, pattern matching, and aggregation must all
 // be performed with low latency" despite noisy readers. This bench pushes

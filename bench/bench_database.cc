@@ -1,4 +1,4 @@
-// Experiment E8 (DESIGN.md): event database and track-and-trace.
+// Experiment E8: event database and track-and-trace.
 //
 // §4 runs "track-and-trace queries over an event database populated with
 // data collected in advance". This bench populates location/containment

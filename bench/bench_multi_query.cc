@@ -1,4 +1,4 @@
-// Experiment E9 (DESIGN.md): multi-query engine scaling.
+// Experiment E9: multi-query engine scaling.
 //
 // §3: the complex event processor hosts many continuous queries at once
 // (monitoring queries + archiving rules), each receiving every event.

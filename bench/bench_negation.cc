@@ -1,4 +1,4 @@
-// Experiment E4 (DESIGN.md): negation cost.
+// Experiment E4: negation cost.
 //
 // Negation ('!') is one of the language features the demo highlights (Q1's
 // shoplifting query). This bench measures its runtime cost: the same

@@ -1,4 +1,4 @@
-// Experiment E2 (DESIGN.md): intermediate result sets / PAIS.
+// Experiment E2: intermediate result sets / PAIS.
 //
 // §2.1.2: "Large intermediate result sets also strongly affect query
 // processing. To reduce intermediate results, we strategically push some of

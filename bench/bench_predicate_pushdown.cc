@@ -1,4 +1,4 @@
-// Experiment E3 (DESIGN.md): predicate pushdown.
+// Experiment E3: predicate pushdown.
 //
 // §2.1.2 pushes predicates "down to the sequence operators" to cut
 // intermediate results. Here single-variable predicates of varying

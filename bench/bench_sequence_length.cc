@@ -1,4 +1,4 @@
-// Experiment E5 (DESIGN.md): NFA sequence-scan scaling with pattern arity.
+// Experiment E5: NFA sequence-scan scaling with pattern arity.
 //
 // SEQ patterns of length 2..6 over the six retail event types, with the
 // TagId equivalence chain across all components. Expected shape: with PAIS

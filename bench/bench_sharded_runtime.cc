@@ -192,12 +192,12 @@ BENCHMARK(BM_LongStreamDispatchLog)
 
 /// Elastic resize cost: run the 64-query workload and re-partition
 /// mid-stream every state.range(0) events (0 = never, the baseline). The
-/// delta against the baseline is the quiesce + replay + thread-restart tax;
-/// `replayed` reports how much in-flight window each resize rebuilt.
+/// delta against the baseline is the quiesce + state hand-off +
+/// thread-restart cost of each resize.
 void BM_ResizeMidStream(benchmark::State& state) {
   const auto& stream = Stream();
   const int64_t resize_every = state.range(0);
-  uint64_t outputs = 0, resizes = 0, replayed = 0;
+  uint64_t outputs = 0, resizes = 0;
   for (auto _ : state) {
     RuntimeConfig config;
     config.shard_count = 2;
@@ -227,12 +227,10 @@ void BM_ResizeMidStream(benchmark::State& state) {
     runtime.OnFlush();
     outputs = count;
     resizes = runtime.resize_count();
-    replayed = runtime.events_replayed();
   }
   state.SetItemsProcessed(state.iterations() * kEventCount);
   state.counters["total_alerts"] = static_cast<double>(outputs);
   state.counters["resizes"] = static_cast<double>(resizes);
-  state.counters["replayed"] = static_cast<double>(replayed);
 }
 
 BENCHMARK(BM_ResizeMidStream)

@@ -1,4 +1,4 @@
-// Experiment E1 (DESIGN.md): large sliding windows.
+// Experiment E1: large sliding windows.
 //
 // §2.1.2: "Large sliding windows spanning hours or days are commonly used
 // in monitoring applications. Sequence generation from events widely

@@ -17,10 +17,7 @@ namespace sase {
 namespace checkpoint {
 namespace {
 
-constexpr const char* kStateHeaderV1 = "SASE-CHECKPOINT v1";
-constexpr const char* kStateHeaderV2 = "SASE-CHECKPOINT v2";
-constexpr const char* kStateHeaderV3 = "SASE-CHECKPOINT v3";
-constexpr const char* kStateHeaderV4 = "SASE-CHECKPOINT v4";
+constexpr const char* kStateHeader = "SASE-CHECKPOINT v5";
 constexpr const char* kManifestHeader = "SASE-MANIFEST v1";
 constexpr const char* kEngineHeader = "SASE-ENGINE-STATE v1";
 
@@ -48,7 +45,7 @@ Status WriteState(const std::string& path, const SystemSnapshot& snap) {
   if (!out.is_open()) {
     return Status::InvalidArgument("cannot open for writing: " + path);
   }
-  out << kStateHeaderV4 << "\n";
+  out << kStateHeader << "\n";
   out << "SHARDS " << snap.shard_count << "\n";
   out << "KEY " << EscapeField(snap.partition_key) << "\n";
   out << "DISPATCHED " << snap.events_dispatched << "\n";
@@ -74,20 +71,11 @@ Status WriteState(const std::string& path, const SystemSnapshot& snap) {
   }
   for (const SnapshotQuery& query : snap.queries) {
     out << "QUERY " << query.id << "|" << (query.archiving ? "A" : "M") << "|"
-        << (query.runtime_hosted ? "R" : "S") << "|" << query.registered_at
-        << "|" << (query.options.push_window ? 1 : 0) << "|"
+        << (query.runtime_hosted ? "R" : "S") << "|"
+        << (query.options.push_window ? 1 : 0) << "|"
         << (query.options.push_predicates ? 1 : 0) << "|"
         << (query.options.use_partitioning ? 1 : 0) << "|"
         << EscapeField(query.name) << "|" << EscapeField(query.text) << "\n";
-  }
-  for (const SnapshotWindowEvent& entry : snap.window) {
-    out << "WINDOW " << entry.stream << "|" << entry.global << "|"
-        << entry.event->type() << "|" << entry.event->timestamp() << "|"
-        << entry.event->seq() << "|" << entry.event->attribute_count();
-    for (size_t i = 0; i < entry.event->attribute_count(); ++i) {
-      out << "|" << db::EncodeValue(entry.event->attribute(static_cast<AttrIndex>(i)));
-    }
-    out << "\n";
   }
   out << "END\n";
   out.close();
@@ -95,7 +83,7 @@ Status WriteState(const std::string& path, const SystemSnapshot& snap) {
   return Status::Ok();
 }
 
-/// engine.sase: framed engine-state sections (snapshot v2).
+/// engine.sase: framed engine-state sections.
 ///
 ///   SASE-ENGINE-STATE v1
 ///   SECTION <kind>|<host>|<query-id>|<version>|<payload-bytes>|<crc32>
@@ -209,8 +197,8 @@ Status WriteSnapshot(const std::string& dir, const SystemSnapshot& snap,
 
   // The manifest repoint is the commit: tmp + rename keeps the previous
   // checkpoint authoritative until the new one is fully on disk. The
-  // `format` line is the version negotiation: a reader refuses a directory
-  // written by a newer format instead of misreading it (absent = v1).
+  // `format` line is the version check: a reader refuses a directory
+  // written in any other format instead of misreading it.
   std::string tmp = dir + "/MANIFEST.tmp";
   {
     std::ofstream out(tmp);
@@ -243,19 +231,20 @@ Result<uint64_t> ReadManifest(const std::string& dir) {
   }
   Result<uint64_t> snapshot =
       Status::ParseError("manifest in " + dir + " names no snapshot");
+  uint64_t format = 1;  // manifests predating the format line
   while (std::getline(in, line)) {
     if (StartsWith(line, "snapshot ")) {
       snapshot = ParseU64(line.substr(9));
       if (!snapshot.ok()) return snapshot.status();
     } else if (StartsWith(line, "format ")) {
-      SASE_ASSIGN_OR_RETURN(uint64_t format, ParseU64(line.substr(7)));
-      if (format > static_cast<uint64_t>(kSnapshotFormat)) {
-        return Status::InvalidArgument(
-            "checkpoint in " + dir + " uses snapshot format " +
-            std::to_string(format) + "; this reader supports up to " +
-            std::to_string(kSnapshotFormat));
-      }
+      SASE_ASSIGN_OR_RETURN(format, ParseU64(line.substr(7)));
     }
+  }
+  if (format != static_cast<uint64_t>(kSnapshotFormat)) {
+    return Status::InvalidArgument(
+        "checkpoint in " + dir + " uses snapshot format " +
+        std::to_string(format) + "; this reader reads only format " +
+        std::to_string(kSnapshotFormat));
   }
   return snapshot;
 }
@@ -268,16 +257,11 @@ Result<SystemSnapshot> ReadSnapshot(const std::string& dir, uint64_t id,
     return Status::NotFound("missing snapshot state: " + snap_dir);
   }
   std::string line;
-  if (!std::getline(in, line) ||
-      (line != kStateHeaderV1 && line != kStateHeaderV2 &&
-       line != kStateHeaderV3 && line != kStateHeaderV4)) {
-    return Status::ParseError("bad snapshot header in " + snap_dir);
+  if (!std::getline(in, line) || line != kStateHeader) {
+    return Status::ParseError("bad snapshot header in " + snap_dir + " ('" +
+                              line + "', expected '" + kStateHeader + "')");
   }
   SystemSnapshot snap;
-  snap.format = line == kStateHeaderV1   ? kSnapshotFormatV1
-                : line == kStateHeaderV2 ? kSnapshotFormatV2
-                : line == kStateHeaderV3 ? kSnapshotFormatV3
-                                         : kSnapshotFormatV4;
   snap.snapshot_id = id;
   bool saw_end = false;
   while (std::getline(in, line)) {
@@ -323,7 +307,6 @@ Result<SystemSnapshot> ReadSnapshot(const std::string& dir, uint64_t id,
       if (!serial.ok()) return serial.status();
       snap.acked_runtime = runtime.value();
       snap.acked_serial = serial.value();
-      snap.has_acked = true;
     } else if (tag == "ROUTED") {
       if (fields.size() != 3) return Status::ParseError("bad ROUTED line");
       auto stream = field_u64(1);
@@ -373,57 +356,23 @@ Result<SystemSnapshot> ReadSnapshot(const std::string& dir, uint64_t id,
       split.secondary_attr = std::move(attr).value();
       snap.splits.push_back(std::move(split));
     } else if (tag == "QUERY") {
-      if (fields.size() != 9) return Status::ParseError("bad QUERY line");
+      if (fields.size() != 8) return Status::ParseError("bad QUERY line");
       SnapshotQuery query;
       auto qid = field_i64(0);
-      auto at = field_u64(3);
-      auto name = UnescapeField(fields[7]);
-      auto text = UnescapeField(fields[8]);
+      auto name = UnescapeField(fields[6]);
+      auto text = UnescapeField(fields[7]);
       if (!qid.ok()) return qid.status();
-      if (!at.ok()) return at.status();
       if (!name.ok()) return name.status();
       if (!text.ok()) return text.status();
       query.id = qid.value();
       query.archiving = fields[1] == "A";
       query.runtime_hosted = fields[2] == "R";
-      query.registered_at = at.value();
-      query.options.push_window = fields[4] == "1";
-      query.options.push_predicates = fields[5] == "1";
-      query.options.use_partitioning = fields[6] == "1";
+      query.options.push_window = fields[3] == "1";
+      query.options.push_predicates = fields[4] == "1";
+      query.options.use_partitioning = fields[5] == "1";
       query.name = std::move(name).value();
       query.text = std::move(text).value();
       snap.queries.push_back(std::move(query));
-    } else if (tag == "WINDOW") {
-      if (fields.size() < 6) return Status::ParseError("bad WINDOW line");
-      auto sid = field_u64(0);
-      auto global = field_u64(1);
-      auto type = field_u64(2);
-      auto ts = field_i64(3);
-      auto seq = field_u64(4);
-      auto count = field_u64(5);
-      if (!sid.ok()) return sid.status();
-      if (!global.ok()) return global.status();
-      if (!type.ok()) return type.status();
-      if (!ts.ok()) return ts.status();
-      if (!seq.ok()) return seq.status();
-      if (!count.ok()) return count.status();
-      if (fields.size() != 6 + count.value()) {
-        return Status::ParseError("WINDOW line value count mismatch");
-      }
-      std::vector<Value> values;
-      values.reserve(count.value());
-      for (uint64_t i = 0; i < count.value(); ++i) {
-        auto value = db::DecodeValue(fields[6 + i]);
-        if (!value.ok()) return value.status();
-        values.push_back(std::move(value).value());
-      }
-      SnapshotWindowEvent entry;
-      entry.stream = static_cast<StreamId>(sid.value());
-      entry.global = global.value();
-      entry.event = std::make_shared<Event>(
-          static_cast<EventTypeId>(type.value()), ts.value(), seq.value(),
-          std::move(values));
-      snap.window.push_back(std::move(entry));
     } else {
       return Status::ParseError("unknown snapshot line: " + line);
     }
@@ -431,11 +380,9 @@ Result<SystemSnapshot> ReadSnapshot(const std::string& dir, uint64_t id,
   if (!saw_end) {
     return Status::ParseError("snapshot state truncated (no END): " + snap_dir);
   }
-  if (snap.format >= kSnapshotFormatV2) {
-    // A bad section is a hard error, not a fallback to window replay: the
-    // caller must not restore half a system from a damaged checkpoint.
-    SASE_RETURN_IF_ERROR(ReadEngineState(snap_dir + "/engine.sase", &snap));
-  }
+  // A bad section is a hard error: the caller must not restore half a
+  // system from a damaged checkpoint.
+  SASE_RETURN_IF_ERROR(ReadEngineState(snap_dir + "/engine.sase", &snap));
   if (database != nullptr) {
     SASE_RETURN_IF_ERROR(db::LoadFileInto(snap_dir + "/db.sase", database));
   }

@@ -14,16 +14,12 @@
 namespace sase {
 namespace checkpoint {
 
-/// One registered query as captured at a quiesce point. `registered_at` is
-/// the global dispatch index the query was registered at — recovery
-/// re-registers it between the same two events of the replayed in-flight
-/// window, reproducing the serial construction history (the same contract
-/// the runtime's elastic Resize replay uses).
+/// One registered query as captured at a quiesce point. Recovery
+/// re-registers it under its id, then loads its serialized operator state.
 struct SnapshotQuery {
   QueryId id = 0;
   bool archiving = false;       // archiving rule vs monitoring query
   bool runtime_hosted = false;  // sharded runtime vs serial engine
-  uint64_t registered_at = 0;
   PlanOptions options;
   std::string name;
   std::string text;
@@ -38,20 +34,12 @@ struct SnapshotStream {
   uint64_t events = 0;
 };
 
-/// One retained in-flight-window event, with its original global dispatch
-/// index (the replay interleaving key across streams).
-struct SnapshotWindowEvent {
-  StreamId stream = kDefaultStream;
-  uint64_t global = 0;
-  EventPtr event;
-};
-
-/// One hot-key split-table entry (v4): key `key` of stream `stream` is
+/// One hot-key split-table entry: key `key` of stream `stream` is
 /// rerouted away from its key-hash shard — `mode` mirrors
 /// Partitioner::SplitMode (0 = spread round-robin, 1 = sub-hash by
 /// `(key, secondary_attr)`). A secondary split's sub-partition state lives
 /// on the shard the sub-hash picks, so recovery must restore the table
-/// before any routing or replay.
+/// before any routing.
 struct SnapshotSplit {
   StreamId stream = kDefaultStream;
   int mode = 0;
@@ -59,24 +47,14 @@ struct SnapshotSplit {
   std::string secondary_attr;  // empty for spread
 };
 
-/// Current snapshot format. v1 rebuilt engine state by muted replay of the
-/// in-flight window (and therefore refused aggregates, WITHIN-less stateful
-/// queries and stateful serial-engine queries); v2 adds direct
-/// operator-state serialization in per-query framed sections (engine.sase),
-/// covering the whole language surface; v3 adds the consumer-acked output
-/// cursor (ACKED line) the exactly-once recovery gate resumes from; v4 adds
-/// the hot-key split table (SPLIT lines) so a recovered runtime re-routes
-/// split keys identically. The v4 reader still reads v1–v3 snapshots;
-/// recovery falls back to window replay for v1, to the delivered-output
-/// marks (at-least-once) for pre-cursor snapshots under AckMode::kConsumer,
-/// and to an empty split table for pre-v4 snapshots.
-constexpr int kSnapshotFormatV1 = 1;
-constexpr int kSnapshotFormatV2 = 2;
-constexpr int kSnapshotFormatV3 = 3;
-constexpr int kSnapshotFormatV4 = 4;
-constexpr int kSnapshotFormat = kSnapshotFormatV4;
+/// The snapshot format this build writes and the only one it reads: direct
+/// operator-state serialization in per-query framed sections
+/// (engine.sase), the consumer-acked output cursor (ACKED line) the
+/// exactly-once recovery gate resumes from, and the hot-key split table
+/// (SPLIT lines). The reader refuses every other format by name.
+constexpr int kSnapshotFormat = 5;
 
-/// One framed engine-state section (snapshot v2): the serialized operator
+/// One framed engine-state section: the serialized operator
 /// state of one query's plan on one hosting engine, or an engine-level
 /// counter payload (`query == 0`). Sections are individually CRC'd and
 /// versioned in the engine.sase file, so a reader can verify and skip
@@ -94,43 +72,36 @@ struct EngineStateSection {
 };
 
 /// Everything outside the Event Database that a SaseSystem needs to resume:
-/// registered queries in dispatch order, per-stream dispatch stamps and
-/// clocks, the in-flight replay window, merger/dispatch watermarks, the
-/// runtime shape, the delivered-output counters the recovery gate resumes
-/// emission from, and (v2) the serialized engine state per query and host.
-/// The Event Database itself rides along as a db::Dump file in the same
-/// snapshot directory.
+/// registered queries in registration order, per-stream dispatch stamps
+/// and clocks, merger/dispatch watermarks, the runtime shape, the
+/// delivered-output and acked counters the recovery gate resumes emission
+/// from, and the serialized engine state per query and host. The Event
+/// Database itself rides along as a db::Dump file in the same snapshot
+/// directory.
 struct SystemSnapshot {
   uint64_t snapshot_id = 0;
-  /// Format this snapshot was read from / will be written as.
-  int format = kSnapshotFormat;
   int shard_count = 1;
   std::string partition_key;
   uint64_t events_dispatched = 0;
   uint64_t delivered_runtime = 0;
   uint64_t delivered_serial = 0;
-  /// Consumer-acked output counters at the snapshot point (v3). `has_acked`
-  /// distinguishes "acked 0|0" from "pre-cursor snapshot with no ACKED
-  /// line" — the recovery gate falls back to the delivered marks only in
-  /// the latter case.
+  /// Consumer-acked output counters at the snapshot point.
   uint64_t acked_runtime = 0;
   uint64_t acked_serial = 0;
-  bool has_acked = false;
   /// Dispatcher routing flags (see ShardedRuntime): restored verbatim so
   /// the recovered dispatcher claims merge progress exactly as the crashed
   /// one would have.
   bool any_routed = false;
   StreamId routed_stream = kDefaultStream;
   bool multi_routed = false;
-  /// Event type names in EventTypeId order: the window events and journal
-  /// records reference types by id, so recovery refuses a catalog mismatch.
+  /// Event type names in EventTypeId order: engine-state payloads and
+  /// journal records reference types by id, so recovery refuses a catalog
+  /// mismatch.
   std::vector<std::string> catalog_types;
   std::vector<SnapshotStream> streams;
   std::vector<SnapshotQuery> queries;
-  std::vector<SnapshotWindowEvent> window;
-  /// v4: active hot-key splits in (stream, key) order (empty pre-v4).
+  /// Active hot-key splits in (stream, key) order.
   std::vector<SnapshotSplit> splits;
-  /// v2: framed engine-state sections (empty when format == v1).
   std::vector<EngineStateSection> engine_state;
 };
 

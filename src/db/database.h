@@ -14,8 +14,8 @@ namespace db {
 /// A named collection of tables — the Event Database of Figure 1 ("SASE
 /// contains a persistence storage component to support querying over
 /// historical data and to allow query results from the stream processor to
-/// be joined with stored data", §3). The paper deploys MySQL; this is the
-/// in-process substitution (see DESIGN.md).
+/// be joined with stored data", §3). The paper deploys MySQL; this is an
+/// in-process substitute.
 class Database {
  public:
   Database() = default;

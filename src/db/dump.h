@@ -38,8 +38,8 @@ Status LoadInto(std::istream* in, Database* database);
 Status LoadFileInto(const std::string& path, Database* database);
 
 /// One dump field of a single Value: N, I:<int>, D:<double>, S:<escaped>,
-/// B:0/1. Shared with the checkpoint snapshot, whose in-flight window
-/// events serialize their attribute values in the same format. Thin
+/// B:0/1. Shared with the checkpoint snapshot, whose SPLIT lines
+/// serialize their keys in the same format. Thin
 /// delegates to the hoisted codec in util/value_codec.h (which the engine's
 /// operator-state serialization also uses), kept for source compatibility.
 std::string EncodeValue(const Value& value);

@@ -30,7 +30,7 @@ using Row = std::vector<Value>;
 /// An in-memory relational table with optional hash indexes.
 ///
 /// This is the storage engine behind the Event Database (the paper uses
-/// MySQL 5.0.22; see DESIGN.md for the substitution argument). Rows live in
+/// MySQL 5.0.22). Rows live in
 /// an ordered map keyed by RowId, so scans are deterministic; secondary
 /// indexes are hash maps from column value to row ids, maintained on every
 /// mutation — the access path for track-and-trace point lookups.

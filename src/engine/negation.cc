@@ -1,6 +1,7 @@
 #include "engine/negation.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/logging.h"
 #include "util/value_codec.h"
@@ -358,6 +359,45 @@ Status Negation::LoadState(StateReader* r) {
   }
   if (!r->status().ok()) return r->status();
   return Status::ParseError("Negation state truncated (no divider)");
+}
+
+void Negation::HandOff(const std::vector<Negation*>& from,
+                       const std::vector<Negation*>& to,
+                       const StateRoute& route) {
+  auto by_seq = [](const EventPtr& a, const EventPtr& b) {
+    return a->seq() < b->seq();
+  };
+  for (Negation* source : from) {
+    for (size_t i = 0; i < source->buffers_.size(); ++i) {
+      for (auto& [key, events] : source->buffers_[i].by_key) {
+        std::vector<std::vector<EventPtr>> pieces(to.size());
+        for (EventPtr& event : events) {
+          pieces[route(*event)].push_back(std::move(event));
+        }
+        for (size_t target = 0; target < to.size(); ++target) {
+          if (pieces[target].empty()) continue;
+          to[target]->stats_.events_buffered += pieces[target].size();
+          std::vector<EventPtr>& dest = to[target]->buffers_[i].by_key[key];
+          size_t mid = dest.size();
+          dest.insert(dest.end(),
+                      std::make_move_iterator(pieces[target].begin()),
+                      std::make_move_iterator(pieces[target].end()));
+          std::inplace_merge(dest.begin(),
+                             dest.begin() + static_cast<ptrdiff_t>(mid),
+                             dest.end(), by_seq);
+        }
+      }
+      source->buffers_[i].by_key.clear();
+    }
+    // Deferrals keep their release order: equal release times stay in the
+    // source's completion order (the merger orders across sources).
+    for (auto& [release_ts, match] : source->pending_) {
+      const EventPtr& first = match.bindings[static_cast<size_t>(
+          source->positive_slots_.front())];
+      to[route(*first)]->pending_.emplace(release_ts, std::move(match));
+    }
+    source->pending_.clear();
+  }
 }
 
 void Negation::PruneBuffers(Timestamp now) {

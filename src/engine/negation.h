@@ -77,12 +77,23 @@ class Negation : public Operator {
   };
   Footprint StateFootprint() const;
 
-  /// Checkpoint state walker (snapshot v2): writes per-spec candidate
+  /// Checkpoint state walker: writes per-spec candidate
   /// buffers (plain and key-partitioned) and the parked tail-negation
   /// deferrals with their full binding vectors, plus counters, as codec
   /// lines. LoadState consumes lines until the "--" block divider.
   void SaveState(StateWriter* w) const;
   Status LoadState(StateReader* r);
+
+  /// Per-key state hand-off, the negation half of SequenceScan::HandOff:
+  /// moves the key-partitioned candidate buffers and the parked
+  /// tail-negation deferrals of `from` into the negation of `to` that
+  /// `route` picks — a candidate by itself, a deferral by its first
+  /// positive binding. Candidates of one key arriving from several
+  /// negations are merged in sequence-number order. Unpartitioned
+  /// candidates stay put: a key-partitioned plan never buffers any.
+  static void HandOff(const std::vector<Negation*>& from,
+                      const std::vector<Negation*>& to,
+                      const StateRoute& route);
 
  private:
   struct Buffer {

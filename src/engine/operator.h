@@ -1,12 +1,19 @@
 #ifndef SASE_ENGINE_OPERATOR_H_
 #define SASE_ENGINE_OPERATOR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "engine/match.h"
 
 namespace sase {
+
+/// Picks, for one event held in operator state, the index of the engine
+/// that owns it under a new partition layout: the route of the sharded
+/// runtime's per-key state hand-off (QueryEngine::HandOffState).
+using StateRoute = std::function<size_t(const Event&)>;
 
 /// Base class of the pipelined query-plan operators.
 ///

@@ -1,5 +1,6 @@
 #include "engine/planner.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "engine/shared_scan.h"
@@ -225,6 +226,32 @@ Status QueryPlan::RestoreState(const std::string& payload) {
                               reader.tag() + "'");
   }
   return reader.status();
+}
+
+void QueryPlan::HandOff(const std::vector<QueryPlan*>& from,
+                        const std::vector<QueryPlan*>& to,
+                        const StateRoute& route) {
+  std::vector<SequenceScan*> from_scans, to_scans;
+  std::vector<Negation*> from_negations, to_negations;
+  bool gated = false;
+  uint64_t gate_seq = 0;
+  for (QueryPlan* plan : from) {
+    if (plan->scan_ != nullptr) from_scans.push_back(plan->scan_.get());
+    from_negations.push_back(plan->negation_.get());
+    if (plan->join_gated_) {
+      gated = true;
+      gate_seq = std::max(gate_seq, plan->join_gate_seq_);
+    }
+  }
+  for (QueryPlan* plan : to) {
+    if (plan->scan_ != nullptr) to_scans.push_back(plan->scan_.get());
+    to_negations.push_back(plan->negation_.get());
+    // Sequence numbers rise along the stream, so the latest gate over the
+    // sources still drops every pre-registration event and nothing later.
+    plan->SetJoinGate(gated, gate_seq);
+  }
+  SequenceScan::HandOff(from_scans, to_scans, route);
+  Negation::HandOff(from_negations, to_negations, route);
 }
 
 std::string QueryPlan::Explain(const Catalog& catalog) const {

@@ -112,13 +112,25 @@ class QueryPlan {
 
   /// Serializes the plan's live operator state — active instance stacks,
   /// negation buffers and parked deferrals, running-aggregate accumulators,
-  /// operator counters — as one snapshot-v2 payload (docs/recovery.md).
+  /// operator counters — as one checkpoint payload (docs/recovery.md).
   /// The payload opens with the NFA's structural signature; RestoreState
   /// refuses a payload whose signature does not match this plan, so state
   /// can only be restored into a plan compiled from the same query under
   /// the same options.
   std::string SaveState() const;
   Status RestoreState(const std::string& payload);
+
+  /// Per-key state hand-off between plans compiled from the same query
+  /// (the sharded runtime's shard rebuild): moves the dedicated scan's
+  /// value partitions and the negation's key-partitioned candidates and
+  /// parked deferrals out of `from` into the plan of `to` that `route`
+  /// picks (SequenceScan::HandOff, Negation::HandOff). Every `to` plan
+  /// takes the latest join gate over `from`; a shared group's scan moves
+  /// once per group (SharedScanGroup::HandOff). Selection, WindowFilter
+  /// and a key-partitioned plan's Transformation hold counters only.
+  static void HandOff(const std::vector<QueryPlan*>& from,
+                      const std::vector<QueryPlan*>& to,
+                      const StateRoute& route);
 
  private:
   SequenceScan* mutable_scan() {

@@ -1,6 +1,7 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "obs/report.h"
@@ -290,6 +291,42 @@ Status QueryEngine::RestoreEngineState(const std::string& payload) {
     return Status::ParseError("engine-state payload carries no EP line");
   }
   return Status::Ok();
+}
+
+void QueryEngine::HandOffState(const std::vector<QueryEngine*>& from,
+                               const std::vector<QueryEngine*>& to,
+                               const StreamStateRoute& route) {
+  if (to.empty()) return;
+  std::set<std::string> groups_moved;
+  for (const auto& [id, entry] : to.front()->plans_) {
+    StateRoute stream_route = [&route, &stream = entry.stream](
+                                  const Event& event) {
+      return route(stream, event);
+    };
+    std::vector<QueryPlan*> sources, targets;
+    for (QueryEngine* engine : from) {
+      auto it = engine->plans_.find(id);
+      if (it != engine->plans_.end()) sources.push_back(it->second.plan.get());
+    }
+    for (QueryEngine* engine : to) {
+      targets.push_back(engine->plans_.at(id).plan.get());
+    }
+    QueryPlan::HandOff(sources, targets, stream_route);
+    if (entry.group == nullptr || !groups_moved.insert(entry.group_key).second) {
+      continue;
+    }
+    std::vector<SharedScanGroup*> from_groups, to_groups;
+    for (QueryEngine* engine : from) {
+      auto it = engine->share_groups_.find(entry.group_key);
+      if (it != engine->share_groups_.end()) {
+        from_groups.push_back(it->second.get());
+      }
+    }
+    for (QueryEngine* engine : to) {
+      to_groups.push_back(engine->share_groups_.at(entry.group_key).get());
+    }
+    SharedScanGroup::HandOff(from_groups, to_groups, stream_route);
+  }
 }
 
 void QueryEngine::OnEvent(const EventPtr& event) {

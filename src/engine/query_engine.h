@@ -1,6 +1,7 @@
 #ifndef SASE_ENGINE_QUERY_ENGINE_H_
 #define SASE_ENGINE_QUERY_ENGINE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -104,11 +105,9 @@ class QueryEngine : public EventSink {
   ///
   /// Replay contract: the engine is a deterministic function of its call
   /// sequence (Register*/OnEvent/OnStreamEvent/OnWatermark), so re-issuing
-  /// a suffix of that sequence into a fresh engine rebuilds its live state
-  /// exactly. The sharded runtime's elastic Resize relies on this — it
-  /// replays the in-flight window (events younger than the largest WITHIN
-  /// span, with registrations interleaved at their original positions)
-  /// into fresh engines instead of serializing NFA/negation state.
+  /// that sequence after a state restore reproduces the original
+  /// trajectory exactly. Crash recovery replays the journaled event suffix
+  /// on this contract.
   void OnEvents(const std::vector<EventPtr>& events);
 
   /// Access to a live plan (stats, explain); nullptr if unknown.
@@ -117,9 +116,7 @@ class QueryEngine : public EventSink {
   /// Registration text of a live query ("" when unknown or registered from
   /// a pre-parsed AST). The engine retains every text-registered query's
   /// source so the checkpoint subsystem can serialize registrations and
-  /// re-register them on recovery — the engine's replay contract (see
-  /// OnEvents) makes re-registration + replay equivalent to serializing
-  /// plan state.
+  /// re-register them on recovery before restoring their state.
   const std::string& query_text(QueryId id) const;
 
   /// One live query as the checkpoint subsystem sees it.
@@ -132,16 +129,15 @@ class QueryEngine : public EventSink {
   /// Every live query in id (= registration) order.
   std::vector<RegisteredQuery> RegisteredQueries() const;
 
-  // --- direct operator-state serialization (checkpoint snapshot v2) ---
+  // --- direct operator-state serialization (checkpoints) ---
   //
   // SerializeState captures one live plan's full operator state (active
   // instance stacks, negation buffers + parked deferrals, running-aggregate
   // accumulators, counters) as a text payload; RestoreState loads such a
   // payload into a freshly registered plan of the same query text and
-  // options — the payload's NFA signature guards against a mismatch. This
-  // lifts the window-replay restriction: aggregates, stateful queries
-  // without WITHIN and serial-engine (hybrid) queries all checkpoint via
-  // these instead of refusing (see docs/recovery.md).
+  // options — the payload's NFA signature guards against a mismatch.
+  // Aggregates, stateful queries without WITHIN and serial-engine (hybrid)
+  // queries all checkpoint this way (see docs/recovery.md).
 
   /// Serialized operator state of query `id`; NotFound for unknown ids.
   Result<std::string> SerializeState(QueryId id) const;
@@ -157,6 +153,25 @@ class QueryEngine : public EventSink {
   /// restore — keeps Stats()/StatsReport() continuous across recovery.
   std::string SerializeEngineState() const;
   Status RestoreEngineState(const std::string& payload);
+
+  /// Routes one event held in the state of a plan reading `stream`
+  /// (lowercased FROM name; "" = default input) to its new engine.
+  using StreamStateRoute =
+      std::function<size_t(const std::string& stream, const Event& event)>;
+
+  /// Per-key state hand-off between engines hosting the same queries under
+  /// the same ids — the sharded runtime's shard rebuild at Resize and
+  /// hot-key splits. Moves every plan's and shared-scan group's
+  /// key-partitioned operator state out of the engines in `from` into the
+  /// engine of `to` that `route` picks for the events that state holds, in
+  /// memory (QueryPlan::HandOff, SharedScanGroup::HandOff). Queries the
+  /// `to` engines host drive the move; each group moves once. The `from`
+  /// engines are left for disposal: their counters stay with them, and
+  /// only the live-state gauges of the `to` operators (instances alive,
+  /// candidates buffered) count the moved state.
+  static void HandOffState(const std::vector<QueryEngine*>& from,
+                           const std::vector<QueryEngine*>& to,
+                           const StreamStateRoute& route);
 
   /// Advances stream time on every default-stream plan without delivering
   /// an event; releases tail-negation deferrals (see Negation::OnWatermark).

@@ -28,7 +28,7 @@ class Selection : public Operator {
   const Stats& stats() const { return stats_; }
   size_t predicate_count() const { return predicates_.size(); }
 
-  /// Checkpoint state walker (snapshot v2): Selection holds no cross-event
+  /// Checkpoint state walker: Selection holds no cross-event
   /// state, only counters. LoadState consumes until the "--" divider.
   void SaveState(StateWriter* w) const {
     w->Line("LS") << matches_in() << '|' << matches_out() << '|'

@@ -1,6 +1,7 @@
 #include "engine/sequence_scan.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "util/logging.h"
@@ -26,7 +27,9 @@ void SequenceScan::OnEvent(const EventPtr& event) {
   ++stats_.events_seen;
   const std::vector<int>& states = nfa_->StatesForType(event->type());
   if (!states.empty()) {
-    if (!nfa_->partitioned()) {
+    // A one-state pattern stores nothing (its only state is the accepting
+    // one, see Process), so it needs no value partitions either.
+    if (!nfa_->partitioned() || nfa_->edge_count() == 1) {
       if (window_ >= 0) {
         stats_.instances_pruned +=
             PruneStacks(&unpartitioned_, event->timestamp() - window_);
@@ -97,17 +100,16 @@ void SequenceScan::Process(Partition* partition, int state,
 
   uint64_t prev_abs = kNoPrev;
   if (state > 0) {
-    // Newest instance in the previous stack with a strictly smaller
-    // timestamp. Stacks are time-sorted, so binary search the boundary.
-    const Stack& prev = partition->stacks[static_cast<size_t>(state) - 1];
-    if (prev.items.empty()) return;
-    auto it = std::lower_bound(
-        prev.items.begin(), prev.items.end(), event->timestamp(),
-        [](const Instance& inst, Timestamp ts) {
-          return inst.event->timestamp() < ts;
-        });
-    if (it == prev.items.begin()) return;  // no predecessor precedes event
-    prev_abs = prev.base + static_cast<uint64_t>(it - prev.items.begin()) - 1;
+    prev_abs = NewestPredecessor(
+        partition->stacks[static_cast<size_t>(state) - 1], event->timestamp());
+    if (prev_abs == kNoPrev) return;  // no predecessor precedes event
+  }
+
+  if (static_cast<size_t>(state) + 1 == nfa_->edge_count()) {
+    // Reached the accepting state: construct every sequence ending here.
+    // No later state reads this stack, so the event is not kept.
+    Construct(partition, Instance{event, prev_abs});
+    return;
   }
 
   Stack& stack = partition->stacks[static_cast<size_t>(state)];
@@ -115,12 +117,16 @@ void SequenceScan::Process(Partition* partition, int state,
   ++stats_.instances_pushed;
   ++stats_.instances_alive;
   stats_.peak_instances = std::max(stats_.peak_instances, stats_.instances_alive);
+}
 
-  if (static_cast<size_t>(state) + 1 == nfa_->edge_count() ||
-      nfa_->edge_count() == 1) {
-    // Reached the accepting state: construct every sequence ending here.
-    Construct(partition, stack.items.back());
-  }
+uint64_t SequenceScan::NewestPredecessor(const Stack& prev, Timestamp ts) {
+  // Stacks are time-sorted, so binary search the boundary.
+  auto it = std::lower_bound(prev.items.begin(), prev.items.end(), ts,
+                             [](const Instance& inst, Timestamp bound) {
+                               return inst.event->timestamp() < bound;
+                             });
+  if (it == prev.items.begin()) return kNoPrev;
+  return prev.base + static_cast<uint64_t>(it - prev.items.begin()) - 1;
 }
 
 void SequenceScan::Construct(Partition* partition, const Instance& final_instance) {
@@ -288,6 +294,97 @@ Status SequenceScan::LoadState(StateReader* r) {
   }
   if (!r->status().ok()) return r->status();
   return Status::ParseError("SequenceScan state truncated (no divider)");
+}
+
+void SequenceScan::HandOff(const std::vector<SequenceScan*>& from,
+                           const std::vector<SequenceScan*>& to,
+                           const StateRoute& route) {
+  auto by_seq = [](const Instance& a, const Instance& b) {
+    return a.event->seq() < b.event->seq();
+  };
+  // Keys per target whose back-pointers must be recomputed once every
+  // piece has landed: a divided partition, or a second piece of one key.
+  std::vector<std::vector<Value>> relink(to.size());
+  auto adopt = [&](size_t target, const Value& key, Partition piece,
+                   bool whole) {
+    auto [it, inserted] = to[target]->partitions_.try_emplace(key);
+    if (inserted && whole) {
+      it->second = std::move(piece);
+      return;
+    }
+    Partition& partition = it->second;
+    partition.stacks.resize(piece.stacks.size());
+    for (size_t level = 0; level < piece.stacks.size(); ++level) {
+      std::vector<Instance>& items = partition.stacks[level].items;
+      std::vector<Instance>& incoming = piece.stacks[level].items;
+      size_t mid = items.size();
+      items.insert(items.end(), std::make_move_iterator(incoming.begin()),
+                   std::make_move_iterator(incoming.end()));
+      std::inplace_merge(items.begin(),
+                         items.begin() + static_cast<ptrdiff_t>(mid),
+                         items.end(), by_seq);
+    }
+    relink[target].push_back(key);
+  };
+
+  for (SequenceScan* source : from) {
+    for (auto& [key, partition] : source->partitions_) {
+      // Destination of every instance; one destination = the key is whole.
+      std::vector<size_t> dest;
+      bool divided = false;
+      for (const Stack& stack : partition.stacks) {
+        for (const Instance& inst : stack.items) {
+          dest.push_back(route(*inst.event));
+          divided = divided || dest.back() != dest.front();
+        }
+      }
+      if (dest.empty()) continue;  // an empty shell awaiting its sweep
+      if (!divided) {
+        adopt(dest.front(), key, std::move(partition), /*whole=*/true);
+        continue;
+      }
+      std::vector<Partition> pieces(to.size());
+      size_t next = 0;
+      for (size_t level = 0; level < partition.stacks.size(); ++level) {
+        for (Instance& inst : partition.stacks[level].items) {
+          Partition& piece = pieces[dest[next++]];
+          piece.stacks.resize(partition.stacks.size());
+          piece.stacks[level].items.push_back(std::move(inst));
+        }
+      }
+      for (size_t target = 0; target < to.size(); ++target) {
+        if (!pieces[target].stacks.empty()) {
+          adopt(target, key, std::move(pieces[target]), /*whole=*/false);
+        }
+      }
+    }
+    source->partitions_.clear();
+  }
+  for (size_t target = 0; target < to.size(); ++target) {
+    SequenceScan* scan = to[target];
+    for (const Value& key : relink[target]) Relink(&scan->partitions_[key]);
+    scan->stats_.instances_alive = scan->StateFootprint().instances;
+    scan->stats_.peak_instances =
+        std::max(scan->stats_.peak_instances, scan->stats_.instances_alive);
+  }
+}
+
+void SequenceScan::Relink(Partition* partition) {
+  for (size_t level = 0; level < partition->stacks.size(); ++level) {
+    Stack& stack = partition->stacks[level];
+    stack.base = 0;
+    if (level == 0) continue;  // first-state instances have no predecessor
+    const Stack& prev = partition->stacks[level - 1];
+    std::vector<Instance> kept;
+    kept.reserve(stack.items.size());
+    for (Instance& inst : stack.items) {
+      uint64_t prev_abs = NewestPredecessor(prev, inst.event->timestamp());
+      if (prev_abs != kNoPrev) {
+        kept.push_back(Instance{std::move(inst.event), prev_abs});
+      }
+    }
+    stack.items = std::move(kept);
+  }
 }
 
 SequenceScan::Footprint SequenceScan::StateFootprint() const {

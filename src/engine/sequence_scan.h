@@ -23,10 +23,12 @@ namespace sase {
 /// in arrival (= timestamp) order. Each pushed instance records the
 /// absolute index of the most recent instance in the *previous* stack whose
 /// timestamp is strictly smaller — the newest viable predecessor. When an
-/// event lands in the final stack, *sequence construction* walks these
-/// back-pointers: at each level every instance with index <= the recorded
-/// pointer is a valid predecessor, so a depth-first descent enumerates all
-/// matches without re-checking timestamps (stacks are time-sorted).
+/// event is accepted by the final state, *sequence construction* walks
+/// these back-pointers: at each level every instance with index <= the
+/// recorded pointer is a valid predecessor, so a depth-first descent
+/// enumerates all matches without re-checking timestamps (stacks are
+/// time-sorted). The final state's own stack stays empty: its events
+/// complete their matches on arrival and no later state reads them.
 ///
 /// ## Partitioned Active Instance Stacks (PAIS)
 /// When the WHERE clause carries an equivalence test across all pattern
@@ -94,7 +96,7 @@ class SequenceScan : public Operator {
   Ticks window() const { return window_; }
   void set_window(Ticks window) { window_ = window; }
 
-  /// Checkpoint state walker (snapshot v2): writes every partition's active
+  /// Checkpoint state walker: writes every partition's active
   /// instance stacks — bases, events, back-pointers — plus counters, as
   /// codec lines. LoadState consumes lines until the "--" block divider,
   /// replacing the operator's state wholesale; the hosting plan must have
@@ -102,6 +104,20 @@ class SequenceScan : public Operator {
   /// signature at the plan level).
   void SaveState(StateWriter* w) const;
   Status LoadState(StateReader* r);
+
+  /// Per-key state hand-off (the sharded runtime's shard rebuild): moves
+  /// every value partition of the scans in `from` into the scan of `to`
+  /// that `route` picks for the partition's events. All scans run the same
+  /// NFA. A partition whose instances all route to one scan moves whole,
+  /// with its bases and back-pointers. A partition divided across scans,
+  /// and pieces of one key arriving from several scans, are merged per
+  /// stack in sequence-number order and their back-pointers recomputed by
+  /// the rule Process uses; an instance left without a predecessor is
+  /// dropped, as Process would never have pushed it. The unpartitioned
+  /// stacks stay put: a key-partitioned plan never fills them.
+  static void HandOff(const std::vector<SequenceScan*>& from,
+                      const std::vector<SequenceScan*>& to,
+                      const StateRoute& route);
 
  private:
   // An accepted event at some NFA state. `prev_abs` is the absolute index
@@ -130,6 +146,12 @@ class SequenceScan : public Operator {
   };
 
   void Process(Partition* partition, int state, const EventPtr& event);
+  /// Absolute index of the newest instance in `prev` whose timestamp is
+  /// strictly smaller than `ts` (stacks are time-sorted), or kNoPrev.
+  static uint64_t NewestPredecessor(const Stack& prev, Timestamp ts);
+  /// Recomputes a merged partition's back-pointers from scratch (bases
+  /// restart at 0), dropping instances left without a predecessor.
+  static void Relink(Partition* partition);
   bool EdgeFiltersPass(const NfaEdge& edge, const EventPtr& event);
   void Construct(Partition* partition, const Instance& final_instance);
   void ConstructLevel(Partition* partition, int level, uint64_t max_abs,

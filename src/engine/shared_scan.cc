@@ -1,5 +1,6 @@
 #include "engine/shared_scan.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace sase {
@@ -71,6 +72,26 @@ void SharedScanGroup::NoteRestored(bool fed_any, uint64_t last_seq) {
   scanned_any_ = false;  // the next event must reach the restored scan
   fed_any_ = fed_any;
   if (fed_any) last_seq_ = last_seq;
+}
+
+void SharedScanGroup::HandOff(const std::vector<SharedScanGroup*>& from,
+                              const std::vector<SharedScanGroup*>& to,
+                              const StateRoute& route) {
+  std::vector<SequenceScan*> from_scans, to_scans;
+  bool fed_any = false;
+  uint64_t last_seq = 0;
+  for (SharedScanGroup* group : from) {
+    from_scans.push_back(&group->scan_);
+    if (group->fed_any_) {
+      fed_any = true;
+      last_seq = std::max(last_seq, group->last_seq_);
+    }
+  }
+  for (SharedScanGroup* group : to) {
+    to_scans.push_back(&group->scan_);
+    group->NoteRestored(fed_any, last_seq);
+  }
+  SequenceScan::HandOff(from_scans, to_scans, route);
 }
 
 }  // namespace sase

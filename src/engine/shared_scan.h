@@ -88,6 +88,14 @@ class SharedScanGroup {
   /// have in the original process.
   void NoteRestored(bool fed_any, uint64_t last_seq);
 
+  /// Per-key state hand-off between groups of one key on different engines
+  /// (see SequenceScan::HandOff): moves the shared scan's partitions, and
+  /// every `to` group adopts the latest feed frontier over `from`, so a
+  /// later member gates as it would have on any source engine.
+  static void HandOff(const std::vector<SharedScanGroup*>& from,
+                      const std::vector<SharedScanGroup*>& to,
+                      const StateRoute& route);
+
   /// Epochs served from the buffer without re-running the scan.
   uint64_t shared_hits() const { return shared_hits_; }
   /// Heap bytes reserved by the match-buffer arena.

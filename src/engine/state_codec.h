@@ -12,7 +12,7 @@
 namespace sase {
 
 /// Line-oriented writer for operator-state serialization (checkpoint
-/// snapshot v2, see docs/recovery.md). State is a sequence of
+/// snapshots, see docs/recovery.md). State is a sequence of
 /// `TAG f0|f1|...` lines using the shared field grammar of the database
 /// dump (util EscapeField / EncodeValue).
 ///

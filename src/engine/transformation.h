@@ -48,7 +48,7 @@ class Transformation : public Operator {
   /// tells an operator how much fold state recovery must rebuild.
   size_t accumulator_count() const { return aggregates_.size(); }
 
-  /// Checkpoint state walker (snapshot v2): writes the running-aggregate
+  /// Checkpoint state walker: writes the running-aggregate
   /// fold accumulators (COUNT/SUM/AVG/MIN/MAX state, by collection index —
   /// the same query text collects the same AggregateExpr pre-order) plus
   /// counters. LoadState consumes lines until the "--" block divider.

@@ -29,7 +29,7 @@ class WindowFilter : public Operator {
 
   Ticks window() const { return window_; }
 
-  /// Checkpoint state walker (snapshot v2): stateless apart from counters.
+  /// Checkpoint state walker: stateless apart from counters.
   /// LoadState consumes until the "--" divider.
   void SaveState(StateWriter* w) const {
     w->Line("WC") << matches_in() << '|' << matches_out();

@@ -10,7 +10,8 @@ namespace sase {
 /// Knobs of the load-driven shard autoscaler. All thresholds are evaluated
 /// on the dispatcher thread every `check_interval` dispatched events; a
 /// grow/shrink decision calls ShardedRuntime::Resize, which quiesces,
-/// replays the in-flight window and resumes (see sharded_runtime.h).
+/// hands each key's state to its new shard and resumes (see
+/// sharded_runtime.h).
 struct ElasticConfig {
   /// Master switch; off = the shard count only changes via explicit
   /// Resize() calls.

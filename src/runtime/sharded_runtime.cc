@@ -194,8 +194,6 @@ Result<ShardedRuntime::QueryEntry> ShardedRuntime::AnalyzeEntry(
   entry.stream = partitioner_.InternStream(stream_name);
   entry.text = text;
   entry.options = options;
-  entry.registered_at = events_dispatched_;
-  entry.window_ticks = analyzed.value().window_ticks;
   entry.stateful = analyzed.value().positive_slots.size() > 1 ||
                    !analyzed.value().negations.empty();
   // Secondary-partition candidates: covering attributes beyond the shard
@@ -215,14 +213,7 @@ Status ShardedRuntime::InstallQuery(QueryId id, QueryEntry entry) {
     SASE_RETURN_IF_ERROR(RegisterIntoShards(id, entry));
     ++sharded_queries_;
     ++hosts.sharded;
-    if (entry.stateful) {
-      ++hosts.sharded_stateful;
-      if (entry.window_ticks < 0) {
-        ++unbounded_sharded_;
-      } else {
-        hosts.max_window = std::max(hosts.max_window, entry.window_ticks);
-      }
-    }
+    if (entry.stateful) ++hosts.sharded_stateful;
   } else {
     Worker& host = broadcast_worker();
     auto result = host.engine->RegisterAs(
@@ -231,12 +222,6 @@ Status ShardedRuntime::InstallQuery(QueryId id, QueryEntry entry) {
     if (!result.ok()) return result.status();
     ++broadcast_queries_;
     ++hosts.broadcast;
-    if (entry.stateful) {
-      ++hosts.broadcast_stateful;
-      if (entry.window_ticks >= 0 && config_.retain_for_checkpoint) {
-        hosts.max_window = std::max(hosts.max_window, entry.window_ticks);
-      }
-    }
   }
   queries_.emplace(id, std::move(entry));
   next_id_ = std::max(next_id_, id + 1);
@@ -256,7 +241,7 @@ Result<QueryId> ShardedRuntime::Register(const std::string& text,
 
   // Active hot-key splits were sound for the query set that existed when
   // they were installed; a new stateful query can invalidate them.
-  SASE_RETURN_IF_ERROR(ResolveSplitConflicts(entry.value()));
+  ResolveSplitConflicts(entry.value());
 
   QueryId id = next_id_;
   SASE_RETURN_IF_ERROR(InstallQuery(id, std::move(entry).value()));
@@ -301,37 +286,21 @@ void ShardedRuntime::DropQuery(std::map<QueryId, QueryEntry>::iterator it) {
   if (it->second.sharded) {
     --sharded_queries_;
     --hosts.sharded;
-    if (it->second.stateful) {
-      --hosts.sharded_stateful;
-      if (it->second.window_ticks < 0) --unbounded_sharded_;
-    }
+    if (it->second.stateful) --hosts.sharded_stateful;
   } else {
     --broadcast_queries_;
     --hosts.broadcast;
-    if (it->second.stateful) --hosts.broadcast_stateful;
   }
   queries_.erase(it);
-  RecomputeStreamWindows();
-  PruneReplayAll();  // retention windows may have shrunk or vanished
   hotkey_refused_.clear();  // the query set changed; refusals may not hold
-}
-
-void ShardedRuntime::RecomputeStreamWindows() {
-  for (StreamQueries& hosts : stream_queries_) hosts.max_window = -1;
-  for (const auto& [id, entry] : queries_) {
-    if (!entry.stateful || entry.window_ticks < 0) continue;
-    if (!entry.sharded && !config_.retain_for_checkpoint) continue;
-    StreamQueries& hosts = QueriesFor(entry.stream);
-    hosts.max_window = std::max(hosts.max_window, entry.window_ticks);
-  }
 }
 
 Status ShardedRuntime::Resize(int shard_count) {
   shard_count = std::max(1, shard_count);
   if (shard_count == config_.shard_count) return Status::Ok();
   int old_count = config_.shard_count;
-  SASE_RETURN_IF_ERROR(RebuildShards(
-      shard_count, [this, shard_count] { partitioner_.Resize(shard_count); }));
+  RebuildShards(shard_count,
+                [this, shard_count] { partitioner_.Resize(shard_count); });
   ++resizes_;
   if (shard_count > old_count) {
     ++grows_;
@@ -341,13 +310,8 @@ Status ShardedRuntime::Resize(int shard_count) {
   return Status::Ok();
 }
 
-Status ShardedRuntime::RebuildShards(int shard_count,
-                                     const std::function<void()>& mutate) {
-  if (unbounded_sharded_ > 0) {
-    return Status::FailedPrecondition(
-        "cannot rebuild shard engines: a sharded stateful query has no "
-        "WITHIN window, so the in-flight replay window is unbounded");
-  }
+void ShardedRuntime::RebuildShards(int shard_count,
+                                   const std::function<void()>& mutate) {
   resizing_ = true;
 
   // Quiesce: drain every batch, broadcast clocks, deliver everything
@@ -363,12 +327,14 @@ Status ShardedRuntime::RebuildShards(int shard_count,
   }
 
   // The broadcast engine's state (running aggregates, non-key patterns) is
-  // layout-independent — carry the worker over whole. Shard workers are
-  // rebuilt from scratch and their engines re-derived by replay; bank their
-  // counters first so fleet-wide Stats() stays continuous.
+  // layout-independent — carry the worker over whole. The old shard
+  // workers stay alive until their per-key state has moved; bank their
+  // counters so fleet-wide Stats() stays continuous.
   int old_count = config_.shard_count;
+  std::vector<std::unique_ptr<Worker>> retired;
   for (int s = 0; s < old_count; ++s) {
     retired_engine_stats_ += workers_[static_cast<size_t>(s)]->engine->Stats();
+    retired.push_back(std::move(workers_[static_cast<size_t>(s)]));
   }
   std::unique_ptr<Worker> broadcast = std::move(workers_.back());
   {
@@ -386,110 +352,43 @@ Status ShardedRuntime::RebuildShards(int shard_count,
     workers_.push_back(std::move(broadcast));
   }
 
-  events_replayed_ += ReplayIntoShards();
+  // Fresh engines host every sharded query under its id, registered in id
+  // (= registration) order so shared-scan groups form as they originally
+  // did.
+  std::vector<QueryId> failed;
+  for (const auto& [id, entry] : queries_) {
+    if (!entry.sharded) continue;
+    Status status = RegisterIntoShards(id, entry);
+    if (!status.ok()) {
+      // Should be impossible (the same text registered before), but a
+      // query silently absent from the engines while queries_ lists it
+      // would drop its output forever — drop the query loudly instead.
+      SASE_LOG_WARN << "shard rebuild could not re-register query " << id
+                    << " (" << status.ToString() << "); the query is dropped";
+      failed.push_back(id);
+    }
+  }
+  for (QueryId id : failed) DropQuery(queries_.find(id));
+
+  // Hand every key's operator state to the shard that owns it under the
+  // new layout — the live routing, splits included.
+  std::vector<QueryEngine*> from;
+  std::vector<QueryEngine*> to;
+  for (const auto& worker : retired) from.push_back(worker->engine.get());
+  for (int s = 0; s < shard_count; ++s) {
+    to.push_back(workers_[static_cast<size_t>(s)]->engine.get());
+  }
+  QueryEngine::HandOffState(
+      from, to, [this](const std::string& stream, const Event& event) {
+        return static_cast<size_t>(
+            partitioner_.ShardFor(partitioner_.InternStream(stream), event));
+      });
+  retired.clear();
 
   for (auto& worker : workers_) {
     worker->thread = std::thread(&ShardedRuntime::WorkerLoop, this, worker.get());
   }
   resizing_ = false;
-  return Status::Ok();
-}
-
-uint64_t ShardedRuntime::ReplayIntoShards() {
-  // Sharded queries in registration order (ids are handed out
-  // monotonically, so id order == registration order and registered_at is
-  // non-decreasing along it).
-  std::vector<std::pair<QueryId, const QueryEntry*>> sharded;
-  for (const auto& [id, entry] : queries_) {
-    if (entry.sharded) sharded.emplace_back(id, &entry);
-  }
-  size_t next = 0;
-  std::vector<QueryId> failed;
-  auto register_up_to = [&](uint64_t global) {
-    // A query registered at dispatch index R saw exactly the events with
-    // global index > R; re-registering it here, between the same events,
-    // reproduces the serial construction history.
-    while (next < sharded.size() && sharded[next].second->registered_at < global) {
-      Status status = RegisterIntoShards(sharded[next].first, *sharded[next].second);
-      if (!status.ok()) {
-        // Should be impossible (the same text registered before), but a
-        // query silently absent from the engines while queries_ lists it
-        // would drop its output forever — drop the query loudly instead.
-        SASE_LOG_WARN << "resize replay could not re-register query "
-                      << sharded[next].first << " (" << status.ToString()
-                      << "); the query is dropped";
-        failed.push_back(sharded[next].first);
-      }
-      ++next;
-    }
-  };
-
-  // Replay the in-flight window under the NEW partition map, k-way merging
-  // the per-stream deques back into global dispatch order. Every replayed
-  // event was fully processed (and its output delivered) before the resize,
-  // so the records this regenerates are duplicates — they are discarded
-  // below; what matters is the engine state left behind: exactly the
-  // partial matches and parked deferrals a serial engine would still hold.
-  uint64_t replayed = 0;
-  std::vector<size_t> pos(replay_.size(), 0);
-  while (true) {
-    size_t best = replay_.size();
-    uint64_t best_global = std::numeric_limits<uint64_t>::max();
-    for (size_t s = 0; s < replay_.size(); ++s) {
-      if (pos[s] < replay_[s].size() && replay_[s][pos[s]].global < best_global) {
-        best_global = replay_[s][pos[s]].global;
-        best = s;
-      }
-    }
-    if (best == replay_.size()) break;
-    const ReplayEntry& entry = replay_[best][pos[best]++];
-    register_up_to(entry.global);
-    QueryEngine& engine =
-        *workers_[static_cast<size_t>(partitioner_.ShardFor(
-             static_cast<StreamId>(best), *entry.event))]
-             ->engine;
-    const std::string& name = partitioner_.streams()[best].name;
-    if (name.empty()) {
-      engine.OnEvent(entry.event);
-    } else {
-      engine.OnStreamEvent(name, entry.event);
-    }
-    ++replayed;
-  }
-  register_up_to(std::numeric_limits<uint64_t>::max());
-
-  // Drop queries that failed to re-register so IsSharded/stats never lie
-  // about a query no engine hosts (partial registrations were already
-  // rolled back by RegisterIntoShards).
-  for (QueryId id : failed) {
-    auto it = queries_.find(id);
-    if (it != queries_.end()) DropQuery(it);
-  }
-
-  // Muted clock broadcast: deferrals whose release window already closed
-  // were released (and delivered) before the resize; re-release them into
-  // the discard pile so only genuinely parked deferrals survive.
-  for (const Partitioner::StreamState& state : partitioner_.streams()) {
-    if (state.events == 0) continue;
-    for (int s = 0; s < config_.shard_count; ++s) {
-      if (state.name.empty()) {
-        workers_[static_cast<size_t>(s)]->engine->OnWatermark(state.clock);
-      } else {
-        workers_[static_cast<size_t>(s)]->engine->OnStreamWatermark(state.name,
-                                                                    state.clock);
-      }
-    }
-  }
-
-  // Discard the replay output wholesale (worker threads are parked, but the
-  // capture callbacks still take the lock — keep them honest).
-  for (int s = 0; s < config_.shard_count; ++s) {
-    Worker* worker = workers_[static_cast<size_t>(s)].get();
-    std::lock_guard<std::mutex> lock(worker->out_mutex);
-    worker->out.clear();
-    worker->arrival_counter = 0;
-  }
-  return replayed;
 }
 
 void ShardedRuntime::MaybeAutoResize() {
@@ -500,13 +399,6 @@ void ShardedRuntime::MaybeAutoResize() {
     return;
   }
   auto now = std::chrono::steady_clock::now();
-  if (unbounded_sharded_ > 0) {
-    // Resize would refuse anyway; keep the sampling window honest but
-    // don't churn the policy (or warn every cycle) about the impossible.
-    last_check_global_ = events_dispatched_;
-    last_check_time_ = now;
-    return;
-  }
   LoadSample sample;
   sample.shards = config_.shard_count;
   double frac_sum = 0;
@@ -529,11 +421,7 @@ void ShardedRuntime::MaybeAutoResize() {
   if (decision == ElasticDecision::kHold) return;
   int target = policy_.NextShardCount(decision, config_.shard_count);
   if (target == config_.shard_count) return;
-  Status status = Resize(target);
-  if (!status.ok()) {
-    SASE_LOG_WARN << "elastic resize to " << target
-                  << " shards failed: " << status.ToString();
-  }
+  (void)Resize(target);
 }
 
 Result<ShardedRuntime::CheckpointState> ShardedRuntime::ExportCheckpoint() {
@@ -544,8 +432,7 @@ Result<ShardedRuntime::CheckpointState> ShardedRuntime::ExportCheckpoint() {
 
   // Quiesce: after WaitIdle every in-flight batch is drained and all
   // merge-safe output is delivered, so the only live state is in the
-  // engines — which is serialized directly below (snapshot v2); no
-  // window-replayability precondition remains.
+  // engines — which is serialized directly below.
   WaitIdle();
 
   CheckpointState state;
@@ -557,18 +444,12 @@ Result<ShardedRuntime::CheckpointState> ShardedRuntime::ExportCheckpoint() {
   state.routed_stream = routed_stream_;
   state.multi_routed = multi_routed_;
   for (const auto& [id, entry] : queries_) {
-    state.queries.push_back(CheckpointState::Query{
-        id, entry.text, entry.options, entry.registered_at});
+    state.queries.push_back(CheckpointState::Query{id, entry.text,
+                                                   entry.options});
   }
   for (const Partitioner::StreamState& stream : partitioner_.streams()) {
     state.streams.push_back(CheckpointState::Stream{
         stream.name, stream.clock, stream.last_seq, stream.events});
-  }
-  for (StreamId s = 0; s < replay_.size(); ++s) {
-    for (const ReplayEntry& entry : replay_[s]) {
-      state.window.push_back(CheckpointState::WindowEvent{s, entry.global,
-                                                          entry.event});
-    }
   }
   for (const Partitioner::SplitInfo& split : partitioner_.Splits()) {
     state.splits.push_back(CheckpointState::Split{
@@ -580,7 +461,6 @@ Result<ShardedRuntime::CheckpointState> ShardedRuntime::ExportCheckpoint() {
   // engine (a sharded query has a plan instance in every shard engine),
   // plus each engine's own counters. The workers are parked on their rings
   // after WaitIdle, so reading the engines here is race-free.
-  state.has_engine_state = true;
   for (const auto& [id, entry] : queries_) {
     if (entry.sharded) {
       for (int s = 0; s < config_.shard_count; ++s) {
@@ -625,8 +505,7 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
     if (worker->thread.joinable()) worker->thread.join();
   }
 
-  // Per-stream dispatch stamps first: the muted clock broadcast below and
-  // all future routing read them.
+  // Per-stream dispatch stamps first: all future routing reads them.
   for (const CheckpointState::Stream& stream : state.streams) {
     partitioner_.RestoreStream(stream.name, stream.clock, stream.last_seq,
                                stream.events);
@@ -635,7 +514,7 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
     stream_queries_.resize(partitioner_.streams().size());
   }
 
-  // Hot-key splits before any replay or routing: a secondary-split key's
+  // Hot-key splits before any routing: a secondary-split key's
   // sub-partition state lives on the shard the (key, secondary) sub-hash
   // picks, so the recovered process must route identically from the start.
   for (const CheckpointState::Split& split : state.splits) {
@@ -653,8 +532,9 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
                        split.secondary_attr);
   }
 
-  // Checkpointed queries in id (= registration) order; ids are handed out
-  // monotonically, so registered_at is non-decreasing along this order.
+  // Checkpointed queries in id (= registration) order, so shared-scan
+  // groups form as they originally did; each plan's state is loaded
+  // wholesale below, so registration position does not matter otherwise.
   std::vector<const CheckpointState::Query*> queries;
   queries.reserve(state.queries.size());
   for (const CheckpointState::Query& query : state.queries) {
@@ -664,184 +544,75 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
             [](const CheckpointState::Query* a, const CheckpointState::Query* b) {
               return a->id < b->id;
             });
-  size_t next = 0;
-  auto register_up_to = [&](uint64_t global) -> Status {
-    while (next < queries.size() && queries[next]->registered_at < global) {
-      const CheckpointState::Query& query = *queries[next];
-      auto entry = AnalyzeEntry(query.text,
-                                callbacks ? callbacks(query.id) : nullptr,
-                                query.options);
-      if (!entry.ok()) return entry.status();
-      entry.value().registered_at = query.registered_at;
-      SASE_RETURN_IF_ERROR(InstallQuery(query.id, std::move(entry).value()));
-      ++next;
-    }
-    return Status::Ok();
-  };
+  for (const CheckpointState::Query* query : queries) {
+    auto entry = AnalyzeEntry(query->text,
+                              callbacks ? callbacks(query->id) : nullptr,
+                              query->options);
+    if (!entry.ok()) return entry.status();
+    SASE_RETURN_IF_ERROR(InstallQuery(query->id, std::move(entry).value()));
+  }
 
-  if (state.has_engine_state) {
-    // Snapshot v2: direct operator-state restore. Register everything, load
-    // each hosting engine's serialized state wholesale, and refill the
-    // resize replay buffer from the window events. No muted replay and no
-    // watermark re-silencing: the restored engines hold exactly the stacks,
-    // negation buffers, parked deferrals and aggregate accumulators the
-    // checkpointed engines held at the quiesce point.
-    SASE_RETURN_IF_ERROR(
-        register_up_to(std::numeric_limits<uint64_t>::max()));
-    std::set<std::pair<int, QueryId>> restored;
-    for (const CheckpointState::PlanState& plan : state.plan_states) {
-      if (plan.worker < 0 ||
-          static_cast<size_t>(plan.worker) >= workers_.size()) {
-        return Status::InvalidArgument(
-            "engine-state payload references worker " +
-            std::to_string(plan.worker) + " of a " +
-            std::to_string(config_.shard_count) + "-shard runtime");
-      }
-      QueryEngine& engine = *workers_[static_cast<size_t>(plan.worker)]->engine;
-      Status loaded = plan.query == 0
-                          ? engine.RestoreEngineState(plan.data)
-                          : engine.RestoreState(plan.query, plan.data);
-      if (!loaded.ok()) {
-        return Status::InvalidArgument(
-            "cannot restore engine state of query #" +
-            std::to_string(plan.query) + " on worker " +
-            std::to_string(plan.worker) + ": " + loaded.ToString());
-      }
-      restored.emplace(plan.worker, plan.query);
+  // Load each hosting engine's serialized state wholesale: the restored
+  // engines hold exactly the stacks, negation buffers, parked deferrals and
+  // aggregate accumulators the checkpointed engines held at the quiesce
+  // point.
+  std::set<std::pair<int, QueryId>> restored;
+  for (const CheckpointState::PlanState& plan : state.plan_states) {
+    if (plan.worker < 0 ||
+        static_cast<size_t>(plan.worker) >= workers_.size()) {
+      return Status::InvalidArgument(
+          "engine-state payload references worker " +
+          std::to_string(plan.worker) + " of a " +
+          std::to_string(config_.shard_count) + "-shard runtime");
     }
-    // Completeness: every registered query must have received a payload on
-    // every engine hosting it. A payload silently missing (lost section,
-    // corrupted kind field) would otherwise restore the query with empty
-    // operator state — exactly the state loss checkpoints exist to prevent.
-    for (const auto& [id, entry] : queries_) {
-      if (entry.sharded) {
-        for (int s = 0; s < config_.shard_count; ++s) {
-          if (restored.count({s, id}) == 0) {
-            return Status::InvalidArgument(
-                "snapshot carries no engine-state payload for query #" +
-                std::to_string(id) + " on shard " + std::to_string(s));
-          }
-        }
-      } else if (restored.count({broadcast_index(), id}) == 0) {
-        return Status::InvalidArgument(
-            "snapshot carries no engine-state payload for query #" +
-            std::to_string(id) + " on the broadcast engine");
-      }
+    QueryEngine& engine = *workers_[static_cast<size_t>(plan.worker)]->engine;
+    Status loaded = plan.query == 0
+                        ? engine.RestoreEngineState(plan.data)
+                        : engine.RestoreState(plan.query, plan.data);
+    if (!loaded.ok()) {
+      return Status::InvalidArgument(
+          "cannot restore engine state of query #" +
+          std::to_string(plan.query) + " on worker " +
+          std::to_string(plan.worker) + ": " + loaded.ToString());
     }
-    // Likewise each worker's engine-counter payload (query id 0): losing
-    // one would silently reset events_processed_ and break the stats
-    // continuity the checkpoint guarantees. Only enforced when the state
-    // carries runtime payloads at all — a snapshot taken by a runtime-less
-    // (serial-only) system legitimately has none.
-    if (!state.plan_states.empty()) {
-      for (const auto& worker : workers_) {
-        if (restored.count({worker->index, 0}) == 0) {
+    restored.emplace(plan.worker, plan.query);
+  }
+  // Completeness: every registered query must have received a payload on
+  // every engine hosting it. A payload silently missing (lost section,
+  // corrupted kind field) would otherwise restore the query with empty
+  // operator state — exactly the state loss checkpoints exist to prevent.
+  for (const auto& [id, entry] : queries_) {
+    if (entry.sharded) {
+      for (int s = 0; s < config_.shard_count; ++s) {
+        if (restored.count({s, id}) == 0) {
           return Status::InvalidArgument(
-              "snapshot carries no engine-counter payload for worker " +
-              std::to_string(worker->index));
+              "snapshot carries no engine-state payload for query #" +
+              std::to_string(id) + " on shard " + std::to_string(s));
         }
       }
+    } else if (restored.count({broadcast_index(), id}) == 0) {
+      return Status::InvalidArgument(
+          "snapshot carries no engine-state payload for query #" +
+          std::to_string(id) + " on the broadcast engine");
     }
-    for (const CheckpointState::WindowEvent& entry : state.window) {
-      if (entry.stream >= partitioner_.streams().size()) {
+  }
+  // Likewise each worker's engine-counter payload (query id 0): losing
+  // one would silently reset events_processed_ and break the stats
+  // continuity the checkpoint guarantees. Only enforced when the state
+  // carries runtime payloads at all — a snapshot taken by a runtime-less
+  // (serial-only) system legitimately has none.
+  if (!state.plan_states.empty()) {
+    for (const auto& worker : workers_) {
+      if (restored.count({worker->index, 0}) == 0) {
         return Status::InvalidArgument(
-            "window event references unknown stream");
+            "snapshot carries no engine-counter payload for worker " +
+            std::to_string(worker->index));
       }
-      if (replay_.size() <= entry.stream) {
-        replay_.resize(static_cast<size_t>(entry.stream) + 1);
-      }
-      replay_[entry.stream].push_back(ReplayEntry{entry.global, entry.event});
-      ++replay_len_;
     }
-    return FinishRestore(state);
   }
 
-  // v1 snapshot: no serialized engine state — rebuild by muted replay of
-  // the in-flight window in original dispatch order (k-way merge of the
-  // per-stream runs by global index), re-registering each query between the
-  // same two events it was originally registered between. This is the
-  // Resize replay generalized to a fresh broadcast engine: the replay
-  // output is discarded below, and the muted clock broadcast re-parks
-  // deferrals whose release was already delivered before the checkpoint.
-  std::vector<size_t> pos(partitioner_.streams().size(), 0);
-  std::vector<std::vector<const CheckpointState::WindowEvent*>> runs(
-      partitioner_.streams().size());
-  for (const CheckpointState::WindowEvent& entry : state.window) {
-    if (entry.stream >= runs.size()) {
-      return Status::InvalidArgument("window event references unknown stream");
-    }
-    runs[entry.stream].push_back(&entry);
-  }
-  while (true) {
-    size_t best = runs.size();
-    uint64_t best_global = std::numeric_limits<uint64_t>::max();
-    for (size_t s = 0; s < runs.size(); ++s) {
-      if (pos[s] < runs[s].size() && runs[s][pos[s]]->global < best_global) {
-        best_global = runs[s][pos[s]]->global;
-        best = s;
-      }
-    }
-    if (best == runs.size()) break;
-    const CheckpointState::WindowEvent& entry = *runs[best][pos[best]++];
-    SASE_RETURN_IF_ERROR(register_up_to(entry.global));
-    const StreamQueries& hosts = QueriesFor(entry.stream);
-    const std::string& name = partitioner_.streams()[entry.stream].name;
-    if (hosts.sharded > 0) {
-      QueryEngine& engine =
-          *workers_[static_cast<size_t>(partitioner_.ShardFor(entry.stream,
-                                                              *entry.event))]
-               ->engine;
-      if (name.empty()) {
-        engine.OnEvent(entry.event);
-      } else {
-        engine.OnStreamEvent(name, entry.event);
-      }
-    }
-    if (hosts.broadcast > 0) {
-      QueryEngine& engine = *broadcast_worker().engine;
-      if (name.empty()) {
-        engine.OnEvent(entry.event);
-      } else {
-        engine.OnStreamEvent(name, entry.event);
-      }
-    }
-    // Refill the replay window for future resizes/checkpoints.
-    if (replay_.size() <= entry.stream) {
-      replay_.resize(static_cast<size_t>(entry.stream) + 1);
-    }
-    replay_[entry.stream].push_back(ReplayEntry{entry.global, entry.event});
-    ++replay_len_;
-  }
-  SASE_RETURN_IF_ERROR(
-      register_up_to(std::numeric_limits<uint64_t>::max()));
-
-  // Muted clock broadcast: deferrals whose release window closed before the
-  // checkpoint were delivered before it; re-release them into the discard
-  // pile so only genuinely parked deferrals survive — exactly the Resize
-  // replay's re-silencing, extended to the fresh broadcast engine.
-  for (const Partitioner::StreamState& stream : partitioner_.streams()) {
-    if (stream.events == 0) continue;
-    for (auto& worker : workers_) {
-      if (stream.name.empty()) {
-        worker->engine->OnWatermark(stream.clock);
-      } else {
-        worker->engine->OnStreamWatermark(stream.name, stream.clock);
-      }
-    }
-  }
-  for (auto& worker : workers_) {
-    std::lock_guard<std::mutex> lock(worker->out_mutex);
-    worker->out.clear();
-    worker->arrival_counter = 0;
-  }
-
-  return FinishRestore(state);
-}
-
-Status ShardedRuntime::FinishRestore(const CheckpointState& state) {
   // Continue the crashed process's dispatch clock so checkpointed positions
-  // (registration points, window globals) compare directly with indices
-  // issued from here on.
+  // compare directly with indices issued from here on.
   events_dispatched_ = state.events_dispatched;
   merger_.SeedDispatched(state.events_dispatched);
   merger_.SeedMerged(state.records_merged);
@@ -976,7 +747,6 @@ void ShardedRuntime::Dispatch(StreamId stream, const std::string& name,
       AppendToWorker(&broadcast_worker(), name, event, global, trace_id);
     }
   }
-  RetainForReplay(stream, event, global);
   if (trace_id != 0) {
     // The span covers dispatch-log stamping, routing and the ring handoff
     // (including any backpressure block); the merge span opens here and
@@ -1053,23 +823,19 @@ bool ShardedRuntime::SplitHotKey(StreamId stream, const Value& key) {
     // the stream covers `secondary` on all components, so a match only ever
     // combines events agreeing on it — sub-hash routing keeps each
     // sub-partition whole on one shard. The key's existing state must move
-    // with the routing: rebuild the shard engines by replay.
-    Status status = RebuildShards(config_.shard_count, [&] {
+    // with the routing: rebuild the shard engines.
+    RebuildShards(config_.shard_count, [&] {
       partitioner_.Split(stream, key, Partitioner::SplitMode::kSecondary,
                          secondary);
     });
-    if (status.ok()) {
-      ++hotkey_secondary_splits_;
-      SASE_LOG_INFO << "hot key " << key.ToString()
-                    << " sub-partitioned by secondary attribute '" << secondary
-                    << "'";
-      return true;
-    }
-    SASE_LOG_WARN << "hot key " << key.ToString()
-                  << " secondary split failed: " << status.ToString();
+    ++hotkey_secondary_splits_;
+    SASE_LOG_INFO << "hot key " << key.ToString()
+                  << " sub-partitioned by secondary attribute '" << secondary
+                  << "'";
+    return true;
   }
-  // No covering secondary attribute (or the rebuild refused): correctness
-  // first — the key stays pinned, and the refusal surfaces in StatsReport
+  // No covering secondary attribute: correctness first — the key stays
+  // pinned, and the refusal surfaces in StatsReport
   // and sase_partition_hotkey_split_refused_total. Booked once per key
   // until the query set changes.
   if (hotkey_refused_.insert({stream, EncodeValue(key)}).second) {
@@ -1106,12 +872,12 @@ std::string ShardedRuntime::CommonSecondaryAttr(StreamId stream) const {
   return candidates.empty() ? std::string() : candidates.front();
 }
 
-Status ShardedRuntime::ResolveSplitConflicts(const QueryEntry& entry) {
+void ShardedRuntime::ResolveSplitConflicts(const QueryEntry& entry) {
   // Only a sharded stateful newcomer can invalidate a split: broadcast
   // queries read the whole stream regardless of routing, and stateless
   // sharded queries are sound under any routing.
-  if (!entry.sharded || !entry.stateful) return Status::Ok();
-  if (partitioner_.split_count() == 0) return Status::Ok();
+  if (!entry.sharded || !entry.stateful) return;
+  if (partitioner_.split_count() == 0) return;
   std::vector<Value> drop_spread;
   std::vector<Value> drop_secondary;
   for (const Partitioner::SplitInfo& split : partitioner_.Splits()) {
@@ -1139,19 +905,18 @@ Status ShardedRuntime::ResolveSplitConflicts(const QueryEntry& entry) {
   }
   // Secondary splits whose attribute the newcomer does not cover: the
   // existing sub-partitioned state must collapse back onto the key's
-  // primary shard — re-pin and rebuild by replay.
+  // primary shard — re-pin and rebuild.
   if (!drop_secondary.empty()) {
-    SASE_RETURN_IF_ERROR(RebuildShards(config_.shard_count, [&] {
+    RebuildShards(config_.shard_count, [&] {
       for (const Value& key : drop_secondary) {
         (void)partitioner_.Unsplit(entry.stream, key);
       }
-    }));
+    });
     for (const Value& key : drop_secondary) {
       SASE_LOG_INFO << "hot-key secondary split of " << key.ToString()
                     << " dropped: the new query does not cover its attribute";
     }
   }
-  return Status::Ok();
 }
 
 void ShardedRuntime::MaybeAdaptBatch() {
@@ -1173,49 +938,6 @@ void ShardedRuntime::MaybeAdaptBatch() {
   if (batch_size_hist_ != nullptr) {
     batch_size_hist_->Record(static_cast<int64_t>(chosen));
   }
-}
-
-void ShardedRuntime::RetainForReplay(StreamId stream, const EventPtr& event,
-                                     uint64_t global) {
-  const StreamQueries& hosts = QueriesFor(stream);
-  // Only streams read by a stateful query with a finite WITHIN window need
-  // replay material (stateless queries rebuild from nothing;
-  // unbounded-window queries make Resize/ExportCheckpoint refuse outright,
-  // so buffering for them would only grow without bound). Broadcast
-  // stateful windows count only under retain_for_checkpoint — see
-  // RetentionNeeded.
-  if (RetentionNeeded(hosts)) {
-    if (replay_.size() <= stream) {
-      replay_.resize(static_cast<size_t>(stream) + 1);
-    }
-    replay_[stream].push_back(ReplayEntry{global, event});
-    ++replay_len_;
-  }
-  PruneReplay(stream);
-}
-
-void ShardedRuntime::PruneReplay(StreamId stream) {
-  if (replay_.size() <= stream) return;
-  std::deque<ReplayEntry>& entries = replay_[stream];
-  const StreamQueries& hosts = stream_queries_[stream];
-  Ticks window = RetentionNeeded(hosts) ? hosts.max_window : -1;
-  const Partitioner::StreamState& state = partitioner_.streams()[stream];
-  while (!entries.empty()) {
-    // Still inside the stream's in-flight window: a future event of this
-    // stream may yet complete a match reaching back to it. (The clock only
-    // advances with the stream's own events, so a quiescent stream's deque
-    // simply stops growing — it never blocks other streams' pruning.)
-    if (window >= 0 &&
-        entries.front().event->timestamp() + window >= state.clock) {
-      break;
-    }
-    entries.pop_front();
-    --replay_len_;
-  }
-}
-
-void ShardedRuntime::PruneReplayAll() {
-  for (StreamId s = 0; s < replay_.size(); ++s) PruneReplay(s);
 }
 
 ShardedRuntime::Clocks ShardedRuntime::CurrentClocks() const {
@@ -1369,8 +1091,6 @@ ShardedRuntime::RuntimeStats ShardedRuntime::FullStats() {
   stats.resizes = resizes_;
   stats.grows = grows_;
   stats.shrinks = shrinks_;
-  stats.events_replayed = events_replayed_;
-  stats.replay_buffer_len = replay_len_;
   stats.elastic_checks = policy_.checks();
   return stats;
 }
@@ -1398,8 +1118,6 @@ std::string ShardedRuntime::StatsReport() {
              .Kv("total", resizes_)
              .Kv("up", grows_)
              .Kv("down", shrinks_)
-             .Kv("replayed", events_replayed_)
-             .Kv("replay_window", replay_len_)
              .Str();
   out << policy_.Describe() << "\n";
   if (config_.hotkey_mitigation) {
@@ -1513,8 +1231,6 @@ void ShardedRuntime::ScrapeMetrics() {
       ->Set(grows_);
   metrics->GetCounter("sase_runtime_resizes_total{direction=\"down\"}")
       ->Set(shrinks_);
-  metrics->GetCounter("sase_runtime_events_replayed_total")
-      ->Set(events_replayed_);
   metrics->GetCounter("sase_runtime_elastic_checks_total")
       ->Set(policy_.checks());
   metrics->GetGauge("sase_runtime_shards")->Set(config_.shard_count);
@@ -1522,8 +1238,6 @@ void ShardedRuntime::ScrapeMetrics() {
       ->Set(static_cast<int64_t>(merger_.pending_count()));
   metrics->GetGauge("sase_runtime_dispatch_log_len")
       ->Set(static_cast<int64_t>(merger_.log_len()));
-  metrics->GetGauge("sase_runtime_replay_buffer_len")
-      ->Set(static_cast<int64_t>(replay_len_));
   metrics->GetGauge("sase_runtime_current_batch")
       ->Set(static_cast<int64_t>(batch_policy_.current()));
 

@@ -62,13 +62,6 @@ struct RuntimeConfig {
   /// compaction — the log then grows with the stream, the pre-compaction
   /// behavior kept for benchmarking the difference.
   size_t log_compact_min = 1024;
-  /// Extend the in-flight replay window to also cover broadcast-hosted
-  /// stateful queries with a finite WITHIN span. Elastic Resize never needs
-  /// that (the broadcast engine is carried over live), but a durable
-  /// checkpoint rebuilds every engine by replay, so the checkpoint subsystem
-  /// turns this on. Costs replay-buffer memory proportional to the extra
-  /// windows; see ExportCheckpoint.
-  bool retain_for_checkpoint = false;
   /// Load-driven shard autoscaling (off by default); see
   /// runtime/elastic_policy.h for the thresholds and ShardedRuntime::Resize
   /// for the mechanism it triggers.
@@ -102,8 +95,8 @@ struct RuntimeConfig {
   /// stateful query on the stream shares a second covering attribute, and a
   /// surfaced refusal otherwise (see StatsReport "hot-key splits:" and the
   /// sase_partition_hotkey_split_* series). Mitigation arms the sketch even
-  /// without a metrics registry. Off by default: splitting rebuilds shard
-  /// engines by replay, a deliberate operator opt-in.
+  /// without a metrics registry. Off by default: a secondary split rebuilds
+  /// the shard engines at a quiesce point, a deliberate operator opt-in.
   bool hotkey_mitigation = false;
   /// Sketch-share percentage (of a stream's keyed events) at which a key is
   /// split. Also re-checked every `hotkey_min_events` dispatched events, so
@@ -148,10 +141,11 @@ struct RuntimeConfig {
 /// is O(shards x in-flight window) — batches in flight plus one
 /// merge-interval of log — independent of total stream length.
 ///
-/// Elasticity: Resize(n) re-partitions mid-stream at a quiesce point
-/// (deterministic replay of the in-flight window; see the method comment),
-/// and RuntimeConfig::elastic turns on a load-driven autoscaler that calls
-/// it automatically with hysteresis (runtime/elastic_policy.h).
+/// Elasticity: Resize(n) re-partitions mid-stream at a quiesce point,
+/// handing each key's operator state to the shard that owns the key under
+/// the new layout (see the method comment), and RuntimeConfig::elastic
+/// turns on a load-driven autoscaler that calls it automatically with
+/// hysteresis (runtime/elastic_policy.h).
 ///
 /// Threading contract: Register/Unregister/OnEvent/OnStreamEvent/OnFlush/
 /// WaitIdle are called from ONE dispatcher thread (the stream's producer).
@@ -196,36 +190,25 @@ class ShardedRuntime : public EventSink {
   ///   2. stop the worker threads; the broadcast engine (aggregates,
   ///      non-key queries) is carried over untouched — its state never
   ///      depends on the shard layout;
-  ///   3. rehash the partition map and build fresh shard engines;
-  ///   4. deterministically replay the in-flight window — the retained
-  ///      events younger than the largest sharded WITHIN span, with query
-  ///      registrations re-interleaved at their original stream positions —
-  ///      routing each event under the NEW layout. Replay output is
-  ///      discarded (those records were all delivered before the resize);
-  ///      a final muted clock broadcast re-releases the already-delivered
-  ///      tail-negation deferrals, leaving each fresh engine holding
-  ///      exactly the partial matches and parked deferrals a serial engine
-  ///      would still hold;
+  ///   3. rehash the partition map, build fresh shard engines and register
+  ///      every sharded query into them under its id;
+  ///   4. hand each sharded query's per-key operator state — scan
+  ///      partitions, negation candidates, parked tail-negation deferrals —
+  ///      from the old shard engines to the fresh one that now owns the key
+  ///      (QueryEngine::HandOffState), then drop the old engines;
   ///   5. resume the workers. Dispatch continues with the same global
   ///      dispatch index, so the merge order is seamless across the resize.
   ///
-  /// Fails with kFailedPrecondition when a registered sharded stateful
-  /// query has no WITHIN window (the in-flight window would be the whole
-  /// stream); no-ops when `shard_count` already matches. Dispatcher thread
-  /// only, like every other entry point.
+  /// Works for every registered query, with or without WITHIN. No-ops
+  /// when `shard_count` already matches. Dispatcher thread only,
+  /// like every other entry point.
   Status Resize(int shard_count);
 
   /// Serialized-state view of the runtime at a quiesce point — what a
   /// durable checkpoint persists and what a cross-process handoff would put
-  /// on the wire. Since snapshot v2 the engines' operator state is
-  /// serialized directly (`plan_states`, one payload per query per hosting
-  /// engine, via QueryEngine::SerializeState): RestoreCheckpoint rebuilds
-  /// each engine from its payloads instead of replaying the in-flight
-  /// window, which lifts the old window-replayability restrictions
-  /// (aggregates, stateful queries without WITHIN). The window events still
-  /// ride along — they refill the resize replay buffer, and they remain the
-  /// rebuild recipe for v1 snapshots (`has_engine_state == false`), whose
-  /// muted-replay restore path is kept for backward compatibility.
+  /// on the wire. The engines' operator state is serialized directly
+  /// (`plan_states`, one payload per query per hosting engine, via
+  /// QueryEngine::SerializeState), and RestoreCheckpoint loads it back.
   struct CheckpointState {
     /// One QueryEngine::SerializeState payload: the operator state of
     /// query `query` on worker `worker` (shards 0..N-1, broadcast == N).
@@ -240,18 +223,12 @@ class ShardedRuntime : public EventSink {
       QueryId id = 0;
       std::string text;
       PlanOptions options;
-      uint64_t registered_at = 0;
     };
     struct Stream {
       std::string name;
       Timestamp clock = 0;
       SequenceNumber last_seq = 0;
       uint64_t events = 0;
-    };
-    struct WindowEvent {
-      StreamId stream = kDefaultStream;
-      uint64_t global = 0;
-      EventPtr event;
     };
     /// One hot-key split-table entry (mode: Partitioner::SplitMode as int).
     /// Splits must survive recovery: a secondary-split key's sub-partition
@@ -275,11 +252,6 @@ class ShardedRuntime : public EventSink {
     bool multi_routed = false;
     std::vector<Query> queries;   // id (= registration) order
     std::vector<Stream> streams;  // StreamId order
-    std::vector<WindowEvent> window;
-    /// Direct operator-state payloads (snapshot v2). False/empty when the
-    /// state was read from a v1 snapshot — restore then falls back to
-    /// muted window replay.
-    bool has_engine_state = false;
     std::vector<PlanState> plan_states;
     std::vector<Split> splits;  // (stream, key) order
   };
@@ -287,10 +259,8 @@ class ShardedRuntime : public EventSink {
   /// Captures the runtime's checkpoint state at a quiesce point (WaitIdle:
   /// every in-flight batch drained, all merge-safe output delivered),
   /// including every hosting engine's serialized operator state. The only
-  /// refusal left is kFailedPrecondition from inside a Resize (a callback
-  /// fired at the resize quiesce point — the layout is mid-change): with
-  /// direct state serialization, aggregates, WITHIN-less stateful queries
-  /// and broadcast-hosted state all checkpoint.
+  /// refusal is kFailedPrecondition from inside a Resize (a callback fired
+  /// at the resize quiesce point — the layout is mid-change).
   Result<CheckpointState> ExportCheckpoint();
 
   /// Maps a checkpointed QueryId to the output callback its restored query
@@ -300,21 +270,13 @@ class ShardedRuntime : public EventSink {
   /// Rebuilds checkpointed state into this runtime (recovery bootstrap).
   /// The runtime must be freshly constructed, with the same shard count and
   /// partition key the state was captured under. Restores the per-stream
-  /// dispatch stamps and re-registers every query at its original
-  /// registration position, then:
-  ///   - v2 state (`has_engine_state`): loads each hosting engine's
-  ///     serialized operator state directly (QueryEngine::RestoreState) and
-  ///     refills the resize replay buffer from the window events — no
-  ///     replay, no watermark re-silencing; the engines resume holding
-  ///     exactly the stacks, buffers, parked deferrals and aggregate
-  ///     accumulators the checkpointed engines held;
-  ///   - v1 state: deterministically replays the in-flight window with
-  ///     registrations interleaved at their original dispatch positions,
-  ///     discarding the replay output and re-silencing already-released
-  ///     deferrals exactly like a Resize replay.
-  /// Either way the global dispatch clock continues from the checkpoint, so
-  /// positions recorded before the crash stay comparable with indices
-  /// issued after recovery.
+  /// dispatch stamps and the hot-key split table, re-registers every query
+  /// under its id, and loads each hosting engine's serialized operator
+  /// state (QueryEngine::RestoreState): the engines resume holding exactly
+  /// the stacks, buffers, parked deferrals and aggregate accumulators the
+  /// checkpointed engines held. The global dispatch clock continues from
+  /// the checkpoint, so positions recorded before the crash stay comparable
+  /// with indices issued after recovery.
   Status RestoreCheckpoint(const CheckpointState& state,
                            const CallbackResolver& callbacks);
 
@@ -358,20 +320,15 @@ class ShardedRuntime : public EventSink {
 
   /// Aggregated engine counters across all workers (quiesces first).
   /// Continuous across resizes: counters of shard engines retired by a
-  /// Resize are carried over, and the replayed in-flight window adds to
-  /// events_processed/outputs (reconcile with events_replayed(); the
-  /// delivered-record truth is records_merged()). The per-worker lines in
-  /// StatsReport() show the CURRENT engines only — they restart at a
-  /// resize with the replayed window as their history.
+  /// Resize are carried over, and the handed-off state adds nothing to
+  /// them. The per-worker lines in StatsReport() show the CURRENT engines
+  /// only — their counters restart at zero at a resize.
   QueryEngine::EngineStats Stats();
 
   // Elastic / resize health (live — no quiesce).
   uint64_t resize_count() const { return resizes_; }
   uint64_t grow_count() const { return grows_; }
   uint64_t shrink_count() const { return shrinks_; }
-  uint64_t events_replayed() const { return events_replayed_; }
-  /// Events currently retained for resize replay (the in-flight window).
-  size_t replay_buffer_len() const { return replay_len_; }
   // Hot-key mitigation health (live — no quiesce; dispatcher-thread state
   // read for reports and bench counters).
   size_t hotkey_active_splits() const { return partitioner_.split_count(); }
@@ -405,8 +362,6 @@ class ShardedRuntime : public EventSink {
     uint64_t resizes = 0;          // completed Resize() calls (manual + auto)
     uint64_t grows = 0;            // resizes that increased the shard count
     uint64_t shrinks = 0;          // resizes that decreased it
-    uint64_t events_replayed = 0;  // replay work across all resizes
-    size_t replay_buffer_len = 0;  // retained in-flight window, in events
     uint64_t elastic_checks = 0;   // policy evaluations
   };
   RuntimeStats FullStats();
@@ -486,17 +441,11 @@ class ShardedRuntime : public EventSink {
     OutputCallback callback;
     bool sharded = false;
     StreamId stream = kDefaultStream;
-    // Re-registration material for resize replay.
+    // Registration material for shard rebuilds and checkpoints.
     std::string text;
     PlanOptions options;
-    /// Global dispatch index at registration: the query saw exactly the
-    /// events dispatched after this point, and resize replay re-registers
-    /// it at the same position in the replayed timeline.
-    uint64_t registered_at = 0;
-    /// WITHIN span in ticks (-1 = none) and whether the plan carries
-    /// cross-event state (>1 positive component or any negation); together
-    /// these bound the replay window a resize needs.
-    Ticks window_ticks = -1;
+    /// Whether the plan carries cross-event state (>1 positive component or
+    /// any negation): the hot-key split policy's soundness input.
     bool stateful = false;
     /// Attribute names (beyond the shard key) whose equivalence class covers
     /// every component — hot-key secondary-partition candidates (see
@@ -510,22 +459,9 @@ class ShardedRuntime : public EventSink {
   struct StreamQueries {
     size_t sharded = 0;
     size_t broadcast = 0;
-    /// Stateful queries reading this stream by host, and the largest WITHIN
-    /// span among those that count toward retention (-1 = none): the
-    /// stream's replay-retention window. Broadcast stateful queries extend
-    /// the window only under RuntimeConfig::retain_for_checkpoint.
+    /// Sharded stateful queries reading this stream: while > 0 a hot key
+    /// may only be split by a covering secondary attribute.
     size_t sharded_stateful = 0;
-    size_t broadcast_stateful = 0;
-    Ticks max_window = -1;
-  };
-
-  /// One retained event of the in-flight window (resize replay material).
-  /// Kept in per-stream deques so a quiescent stream's frozen window never
-  /// blocks other streams' pruning; replay k-way merges them back into
-  /// global dispatch order.
-  struct ReplayEntry {
-    uint64_t global = 0;
-    EventPtr event;
   };
 
   int broadcast_index() const { return config_.shard_count; }
@@ -535,23 +471,15 @@ class ShardedRuntime : public EventSink {
   /// constructor for every worker and by Resize for the new shard set.
   std::unique_ptr<Worker> MakeWorker(int index);
   /// Parse/analyze `text` into a QueryEntry (shardability, input stream,
-  /// window/stateful/aggregate classification, registered_at = current
-  /// dispatch index). Shared by Register and RestoreCheckpoint.
+  /// stateful classification, covering attributes). Shared by Register and
+  /// RestoreCheckpoint.
   Result<QueryEntry> AnalyzeEntry(const std::string& text,
                                   OutputCallback callback,
                                   PlanOptions options);
   /// Registers `entry` under `id` into its hosting engines and applies all
-  /// bookkeeping (counters, per-stream windows, queries_ map). The workers
-  /// must be quiescent (WaitIdle) or parked (restore/replay).
+  /// bookkeeping (counters, queries_ map). The workers must be quiescent
+  /// (WaitIdle) or parked (restore).
   Status InstallQuery(QueryId id, QueryEntry entry);
-  /// True when `stream`'s events must be retained for replay.
-  bool RetentionNeeded(const StreamQueries& hosts) const {
-    return (hosts.sharded_stateful > 0 ||
-            (config_.retain_for_checkpoint && hosts.broadcast_stateful > 0)) &&
-           hosts.max_window >= 0;
-  }
-  /// Largest WITHIN span per stream can shrink on Unregister; rescan.
-  void RecomputeStreamWindows();
   void WorkerLoop(Worker* worker);
   bool WorkerHostsQueries(const Worker& worker) const;
   OutputCallback CaptureCallback(Worker* worker, QueryId id, StreamId stream);
@@ -574,34 +502,20 @@ class ShardedRuntime : public EventSink {
   void DeliverReady();
   void Deliver(std::vector<TaggedRecord> records);
   void WaitDrained(Worker* worker);
-  /// Appends the event to the replay window when its stream needs one, then
-  /// prunes that stream's entries older than its retention window.
-  void RetainForReplay(StreamId stream, const EventPtr& event,
-                       uint64_t global);
-  void PruneReplay(StreamId stream);
-  void PruneReplayAll();
   /// Registers sharded query `id` into every shard engine (fresh capture
-  /// callbacks); shared by Register and resize replay.
+  /// callbacks); shared by Register and the shard rebuild.
   Status RegisterIntoShards(QueryId id, const QueryEntry& entry);
-  /// Shared tail of RestoreCheckpoint's direct (v2) and replay (v1) paths:
-  /// continues the dispatch clock and restarts the worker threads.
-  Status FinishRestore(const CheckpointState& state);
-  /// Drops a query's bookkeeping (counters, per-stream windows, replay
-  /// retention) and erases it; shared by Unregister and the resize replay's
-  /// failed-re-registration path. Does NOT touch the engines.
+  /// Drops a query's bookkeeping (counters) and erases it; shared by
+  /// Unregister and the rebuild's failed-re-registration path. Does NOT
+  /// touch the engines.
   void DropQuery(std::map<QueryId, QueryEntry>::iterator it);
-  /// Replays the retained window into the fresh shard engines, interleaving
-  /// query registrations at their original positions; discards the replay
-  /// output and re-silences already-released deferrals. Returns the number
-  /// of events replayed.
-  uint64_t ReplayIntoShards();
-  /// Shared quiesce-point shard-rebuild machinery behind Resize and
-  /// secondary-split activation: quiesce, stop the workers, carry the
-  /// broadcast engine over, run `mutate` (the partitioner layout change)
-  /// under health_mutex_, build fresh shard engines, replay the in-flight
-  /// window, resume. Refuses (kFailedPrecondition) while a sharded stateful
-  /// query has no WITHIN bound — no finite replay window exists.
-  Status RebuildShards(int shard_count, const std::function<void()>& mutate);
+  /// The one way shard engines are rebuilt, behind Resize, secondary
+  /// hot-key splits and their undoing: quiesce, stop the workers, carry
+  /// the broadcast engine over, run `mutate` (the partitioner layout
+  /// change) under health_mutex_, build fresh shard engines hosting every
+  /// sharded query, hand the old engines' per-key state over under the new
+  /// layout, resume.
+  void RebuildShards(int shard_count, const std::function<void()>& mutate);
   /// Mitigation policy tick (config_.hotkey_mitigation): every
   /// hotkey_min_events dispatched events, scan each stream's sketch for
   /// unsplit keys whose guaranteed share crosses the threshold and split
@@ -609,8 +523,8 @@ class ShardedRuntime : public EventSink {
   void MaybeMitigateHotKeys();
   /// Splits one hot key: spread when `stream` hosts no sharded stateful
   /// query; secondary sub-partitioning by CommonSecondaryAttr when one
-  /// exists (rebuilds the shard engines by replay); otherwise books a
-  /// refusal. Returns true when a split was installed.
+  /// exists (rebuilds the shard engines); otherwise books a refusal.
+  /// Returns true when a split was installed.
   bool SplitHotKey(StreamId stream, const Value& key);
   /// Covering attribute (beyond the shard key) shared by EVERY sharded
   /// stateful query reading `stream`; empty when none qualifies. First
@@ -623,7 +537,7 @@ class ShardedRuntime : public EventSink {
   /// existed), and secondary splits whose attribute the newcomer's covering
   /// set lacks are unsplit with a shard rebuild. Keeps correctness ahead of
   /// mitigation.
-  Status ResolveSplitConflicts(const QueryEntry& entry);
+  void ResolveSplitConflicts(const QueryEntry& entry);
   /// Elastic policy tick: samples queue occupancy + event rate every
   /// check_interval dispatched events and resizes on a grow/shrink verdict.
   void MaybeAutoResize();
@@ -661,18 +575,9 @@ class ShardedRuntime : public EventSink {
   QueryId next_id_ = 1;
   size_t sharded_queries_ = 0;
   size_t broadcast_queries_ = 0;
-  /// Sharded stateful queries with no WITHIN bound: while > 0 a resize has
-  /// no finite replay window and Resize refuses. (Checkpointing has no such
-  /// restriction since snapshot v2: engine state is serialized directly.)
-  size_t unbounded_sharded_ = 0;
   /// True for the duration of a Resize; callbacks fired at the resize
   /// quiesce point see it and ExportCheckpoint refuses.
   bool resizing_ = false;
-
-  // In-flight window retained for resize replay: one deque per StreamId,
-  // each in dispatch order, independently pruned by its stream's window.
-  std::vector<std::deque<ReplayEntry>> replay_;
-  size_t replay_len_ = 0;  // total entries across all stream deques
 
   // Elastic / resize health.
   /// Counters of shard engines retired by past resizes, so fleet-wide
@@ -681,7 +586,6 @@ class ShardedRuntime : public EventSink {
   uint64_t resizes_ = 0;
   uint64_t grows_ = 0;
   uint64_t shrinks_ = 0;
-  uint64_t events_replayed_ = 0;
   uint64_t last_check_global_ = 0;
   std::chrono::steady_clock::time_point last_check_time_{};
   // Hot-key mitigation bookkeeping (dispatcher thread only).

@@ -275,10 +275,10 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
     event_bus_.Subscribe(journal_head_.get());
   }
 
-  // With checkpointing enabled a runtime exists even at one shard: pure
-  // stream queries then live on engines the checkpoint subsystem can
-  // rebuild by window replay (the serial engine keeps only archiving rules
-  // and hybrid database queries, which stay stateless).
+  // With checkpointing enabled a runtime exists even at one shard, so pure
+  // stream queries are hosted, checkpointed and recovered the same way at
+  // every shard count (the serial engine keeps only the queries that call
+  // database functions, see RequiresSerialEngine).
   if (config_.shard_count >= 2 || checkpointing) {
     RuntimeConfig runtime_config;
     runtime_config.shard_count = std::max(1, config_.shard_count);
@@ -289,7 +289,6 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
     runtime_config.elastic = config_.runtime_elastic;
     runtime_config.batch = config_.runtime_batch;
     runtime_config.scan_sharing = config_.scan_sharing;
-    runtime_config.retain_for_checkpoint = checkpointing;
     runtime_config.metrics = metrics_.get();
     runtime_config.tracer = &tracer_;
     runtime_config.slow_query_threshold_ns = config_.obs.slow_query_threshold_ns;
@@ -681,7 +680,6 @@ Status SaseSystem::Checkpoint(const std::string& dir_arg) {
         checkpoint::SnapshotQuery entry;
         entry.id = query.id;
         entry.runtime_hosted = true;
-        entry.registered_at = query.registered_at;
         entry.options = query.options;
         entry.text = query.text;
         entry.name = "query-" + std::to_string(query.id);
@@ -693,10 +691,6 @@ Status SaseSystem::Checkpoint(const std::string& dir_arg) {
           }
         }
         snap.queries.push_back(std::move(entry));
-      }
-      for (const auto& window : state.window) {
-        snap.window.push_back(checkpoint::SnapshotWindowEvent{
-            window.stream, window.global, window.event});
       }
       for (const auto& split : state.splits) {
         snap.splits.push_back(checkpoint::SnapshotSplit{
@@ -732,10 +726,10 @@ Status SaseSystem::Checkpoint(const std::string& dir_arg) {
             ") on the serial engine was registered from a pre-parsed AST "
             "and has no registration text to re-register on recovery");
       }
-      // Direct operator-state serialization (snapshot v2): serial-engine
-      // queries — archiving rules and hybrid database queries included —
-      // checkpoint their stacks, buffers and aggregate accumulators like
-      // any runtime-hosted query.
+      // Direct operator-state serialization: serial-engine queries —
+      // archiving rules and hybrid database queries included — checkpoint
+      // their stacks, buffers and aggregate accumulators like any
+      // runtime-hosted query.
       auto payload = engine_->SerializeState(query.id);
       if (!payload.ok()) return payload.status();
       snap.engine_state.push_back(checkpoint::EngineStateSection{
@@ -756,7 +750,6 @@ Status SaseSystem::Checkpoint(const std::string& dir_arg) {
     // here and simply dropped with the rolled journal.
     snap.acked_runtime = acked_runtime_;
     snap.acked_serial = acked_serial_;
-    snap.has_acked = true;
 
     bool own_dir = journal_ != nullptr && dir == config_.checkpoint.dir;
     if (own_dir) {
@@ -847,8 +840,8 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
   checkpoint::SystemSnapshot* snap = spec.snapshot;
 
   if (snap != nullptr) {
-    // Window events and journal records reference event types by id; a
-    // catalog drift would silently misread them, so refuse instead.
+    // Engine-state payloads and journal records reference event types by
+    // id; a catalog drift would silently misread them, so refuse instead.
     for (size_t i = 0; i < snap->catalog_types.size(); ++i) {
       auto type = catalog_.FindType(snap->catalog_types[i]);
       if (!type.ok() || type.value() != static_cast<EventTypeId>(i)) {
@@ -868,8 +861,8 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
                   query.text);
     }
 
-    // Serial-hosted queries: install them all before any replay, under
-    // their original ids. Their serialized operator state (v2) is loaded
+    // Serial-hosted queries: install them all before any journal replay,
+    // under their original ids. Their serialized operator state is loaded
     // right below, so registration position does not matter — the restored
     // plan carries exactly the construction history of the crashed one.
     for (const checkpoint::SnapshotQuery& query : snap->queries) {
@@ -906,28 +899,25 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
         serial_counters = true;
       }
     }
-    if (snap->format >= checkpoint::kSnapshotFormatV2) {
-      // Completeness: a payload silently missing (lost section, corrupted
-      // kind field — the SECTION header rides outside the payload CRC)
-      // would restore the query with empty state, or reset the engine
-      // counters. Fail loudly instead.
-      for (const checkpoint::SnapshotQuery& query : snap->queries) {
-        if (query.runtime_hosted || serial_restored.count(query.id) > 0) {
-          continue;
-        }
-        return Status::InvalidArgument(
-            "snapshot carries no engine-state payload for serial query #" +
-            std::to_string(query.id));
+    // Completeness: a payload silently missing (lost section, corrupted
+    // kind field — the SECTION header rides outside the payload CRC) would
+    // restore the query with empty state, or reset the engine counters.
+    // Fail loudly instead.
+    for (const checkpoint::SnapshotQuery& query : snap->queries) {
+      if (query.runtime_hosted || serial_restored.count(query.id) > 0) {
+        continue;
       }
-      if (!serial_counters) {
-        return Status::InvalidArgument(
-            "snapshot carries no engine-counter payload for the serial "
-            "engine");
-      }
+      return Status::InvalidArgument(
+          "snapshot carries no engine-state payload for serial query #" +
+          std::to_string(query.id));
+    }
+    if (!serial_counters) {
+      return Status::InvalidArgument(
+          "snapshot carries no engine-counter payload for the serial engine");
     }
 
     // Runtime-hosted queries + engine state: the runtime re-registers them
-    // interleaved into the muted in-flight-window replay.
+    // and loads each hosting engine's payloads.
     ShardedRuntime::CheckpointState state;
     state.shard_count = snap->shard_count;
     state.partition_key = snap->partition_key;
@@ -954,17 +944,12 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
     for (const checkpoint::SnapshotQuery& query : snap->queries) {
       if (!query.runtime_hosted) continue;
       state.queries.push_back(ShardedRuntime::CheckpointState::Query{
-          query.id, query.text, query.options, query.registered_at});
-    }
-    for (const checkpoint::SnapshotWindowEvent& window : snap->window) {
-      state.window.push_back(ShardedRuntime::CheckpointState::WindowEvent{
-          window.stream, window.global, window.event});
+          query.id, query.text, query.options});
     }
     for (const checkpoint::SnapshotSplit& split : snap->splits) {
       state.splits.push_back(ShardedRuntime::CheckpointState::Split{
           split.stream, split.mode, split.key, split.secondary_attr});
     }
-    state.has_engine_state = snap->format >= checkpoint::kSnapshotFormatV2;
     for (checkpoint::EngineStateSection& section : snap->engine_state) {
       if (section.host == "serial") continue;
       SASE_ASSIGN_OR_RETURN(bool usable, UsableEngineSection(section));
@@ -1011,13 +996,8 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
   }
   uint64_t mark_runtime = delivered_runtime_;
   uint64_t mark_serial = delivered_serial_;
-  uint64_t acked_runtime = snap != nullptr && snap->has_acked
-                               ? snap->acked_runtime
-                               : 0;
-  uint64_t acked_serial = snap != nullptr && snap->has_acked
-                              ? snap->acked_serial
-                              : 0;
-  bool cursor_found = snap != nullptr && snap->has_acked;
+  uint64_t acked_runtime = snap != nullptr ? snap->acked_runtime : 0;
+  uint64_t acked_serial = snap != nullptr ? snap->acked_serial : 0;
   for (const checkpoint::JournalRecord& record : scan.value().records) {
     if (record.kind == checkpoint::JournalRecord::Kind::kOutputMark) {
       mark_runtime = record.delivered_runtime;
@@ -1025,36 +1005,17 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
     } else if (record.kind == checkpoint::JournalRecord::Kind::kAckCursor) {
       acked_runtime = std::max(acked_runtime, record.acked_runtime);
       acked_serial = std::max(acked_serial, record.acked_serial);
-      cursor_found = true;
     }
   }
   uint64_t gate_runtime;
   uint64_t gate_serial;
   if (config_.checkpoint.ack_mode == checkpoint::AckMode::kConsumer) {
-    if (cursor_found || snap == nullptr) {
-      // The durable acked cursor is authoritative: everything delivered
-      // past it re-emits (with its original cursor stamp) for the consumer
-      // to re-ack or dedup. A journal-only epoch with no cursor records
-      // means nothing was durably acked — replay re-delivers everything.
-      gate_runtime = acked_runtime;
-      gate_serial = acked_serial;
-    } else {
-      // Pre-cursor checkpoint: the snapshot predates the ACKED cursor line
-      // (format < v3) and the journal holds no ack-cursor records, so there
-      // is no acked cursor to resume from. Fall back to the delivered-output
-      // marks — the legacy gate — rather than re-emitting the whole epoch:
-      // at-least-once across this one crash, exactly-once again from the
-      // next ack on.
-      recovered_ack_fallback_ = true;
-      SASE_LOG_WARN << "recovery under ack_mode=consumer found no acked "
-                    << "output cursor (snapshot format " << snap->format
-                    << " has no ACKED line and the journal holds no "
-                    << "ack-cursor records); falling back to the "
-                    << "delivered-output marks — at-least-once across this "
-                    << "crash";
-      gate_runtime = mark_runtime;
-      gate_serial = mark_serial;
-    }
+    // The durable acked cursor is authoritative: everything delivered past
+    // it re-emits (with its original cursor stamp) for the consumer to
+    // re-ack or dedup. A journal-only epoch with no cursor records means
+    // nothing was durably acked — replay re-delivers everything.
+    gate_runtime = acked_runtime;
+    gate_serial = acked_serial;
   } else {
     // Auto-ack: delivery is acknowledgment — the marks are the cursor. Max
     // with any consumer-era acks so a mode switch across a crash never
@@ -1286,9 +1247,6 @@ std::string SaseSystem::CheckpointReport() const {
                .Text("records")
                .Kv("truncated", recovered_truncated_ ? "yes" : "no")
                .Kv("suppressed_remaining", suppress_runtime_ + suppress_serial_)
-               .Kv("ack_fallback", recovered_ack_fallback_
-                                       ? "missing acked cursor (pre-v3)"
-                                       : "no")
                .Str();
   }
   return out;

@@ -254,17 +254,17 @@ class SaseSystem {
   // --- durable checkpoint & crash recovery (src/checkpoint/) ---
 
   /// Writes a durable checkpoint: quiesces the runtime, persists a
-  /// versioned snapshot (registered queries in dispatch order, per-stream
-  /// dispatch stamps, the in-flight replay window, runtime shape, delivery
-  /// watermarks, and the Event Database via db::Dump) into `dir` — or into
-  /// the configured checkpoint directory when `dir` is empty — and, when
-  /// journaling into that same directory, rotates the event journal onto a
-  /// fresh epoch and garbage-collects the superseded one.
+  /// versioned snapshot (registered queries, per-stream dispatch stamps,
+  /// runtime shape and hot-key splits, delivery and ack watermarks, every
+  /// hosting engine's serialized operator state, and the Event Database
+  /// via db::Dump) into `dir` — or into the configured checkpoint directory
+  /// when `dir` is empty — and, when journaling into that same directory,
+  /// rotates the event journal onto a fresh epoch and garbage-collects the
+  /// superseded one.
   ///
   /// Refuses with kFailedPrecondition while a runtime Resize is mid-flight,
-  /// and when any registered query is not window-replayable (a stateful
-  /// query with no WITHIN span, or a running aggregate): such state cannot
-  /// be rebuilt from a finite replay window, so a checkpoint would lie.
+  /// and when a serial-engine query was registered from a pre-parsed AST
+  /// (it has no text to re-register on recovery).
   Status Checkpoint(const std::string& dir = "");
 
   /// Re-attaches user callbacks on recovery (callbacks cannot be
@@ -273,8 +273,8 @@ class SaseSystem {
   using CallbackFactory = std::function<OutputCallback(const std::string&)>;
 
   /// Rebuilds a SaseSystem from a checkpoint directory: restores the Event
-  /// Database, re-registers every query, mutedly replays the snapshot's
-  /// in-flight window, then replays the event journal suffix — suppressing
+  /// Database, re-registers every query, loads each engine's serialized
+  /// operator state, then replays the event journal suffix — suppressing
   /// exactly the records the crashed process already delivered (tracked by
   /// the journal's output marks) — so the recovered system resumes emitting
   /// byte-identical output from the record where the crash cut it off. The
@@ -343,11 +343,6 @@ class SaseSystem {
   uint64_t recovered_journal_records() const { return recovered_records_; }
   /// True when that recovery stopped early at a torn/corrupt journal tail.
   bool recovered_journal_truncated() const { return recovered_truncated_; }
-  /// True when recovery ran under AckMode::kConsumer but found no acked
-  /// cursor anywhere (pre-v3 snapshot, no kAckCursor journal records) and
-  /// fell back to the delivered-output marks — the documented at-least-once
-  /// fallback for pre-cursor checkpoints.
-  bool recovered_ack_fallback() const { return recovered_ack_fallback_; }
   /// Re-deliveries the recovery gate swallowed (suppression quota consumed)
   /// over this system's lifetime.
   uint64_t suppressed_duplicates() const { return suppressed_duplicates_; }
@@ -398,8 +393,8 @@ class SaseSystem {
   /// policy and acts on it.
   void AfterEventProcessed();
   Status OpenJournal(uint64_t epoch, uint64_t segment);
-  /// Registers the snapshot's queries and replays window + journal; runs
-  /// with `recovering_` set so the taps stay dormant.
+  /// Registers the snapshot's queries, restores their state and replays
+  /// the journal; runs with `recovering_` set so the taps stay dormant.
   Status FinishRecovery(const RecoverySpec& spec, const CallbackFactory& callbacks);
 
   Catalog catalog_;
@@ -462,7 +457,6 @@ class SaseSystem {
   uint64_t acked_runtime_ = 0;
   uint64_t acked_serial_ = 0;
   uint64_t suppressed_duplicates_ = 0;
-  bool recovered_ack_fallback_ = false;
   // Policy baseline + stats.
   uint64_t events_since_checkpoint_ = 0;
   uint64_t journal_bytes_at_checkpoint_ = 0;

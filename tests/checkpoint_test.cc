@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -270,13 +271,11 @@ TEST(SnapshotTest, RoundTripsStateAndDatabase) {
   SnapshotQuery query;
   query.id = 4;
   query.runtime_hosted = true;
-  query.registered_at = 17;
   query.options.push_predicates = false;
   query.name = "shop|lift";
   query.text = "EVENT SHELF_READING s\nRETURN s.TagId";
   snap.queries.push_back(query);
-  snap.window.push_back(SnapshotWindowEvent{
-      0, 99, MakeEvent(catalog, "SHELF_READING", 88, 42, "TAG1")});
+  snap.splits.push_back(SnapshotSplit{1, 1, Value("TAG|7"), "AreaId"});
 
   ASSERT_TRUE(WriteSnapshot(dir, snap, database).ok());
   auto manifest = ReadManifest(dir);
@@ -305,16 +304,15 @@ TEST(SnapshotTest, RoundTripsStateAndDatabase) {
   EXPECT_EQ(restored.queries[0].id, 4);
   EXPECT_TRUE(restored.queries[0].runtime_hosted);
   EXPECT_FALSE(restored.queries[0].archiving);
-  EXPECT_EQ(restored.queries[0].registered_at, 17u);
   EXPECT_FALSE(restored.queries[0].options.push_predicates);
   EXPECT_TRUE(restored.queries[0].options.push_window);
   EXPECT_EQ(restored.queries[0].name, "shop|lift");
   EXPECT_EQ(restored.queries[0].text, "EVENT SHELF_READING s\nRETURN s.TagId");
-  ASSERT_EQ(restored.window.size(), 1u);
-  EXPECT_EQ(restored.window[0].global, 99u);
-  EXPECT_EQ(restored.window[0].event->timestamp(), 88);
-  EXPECT_EQ(restored.window[0].event->seq(), 42u);
-  EXPECT_EQ(restored.window[0].event->attribute(0).AsString(), "TAG1");
+  ASSERT_EQ(restored.splits.size(), 1u);
+  EXPECT_EQ(restored.splits[0].stream, 1u);
+  EXPECT_EQ(restored.splits[0].mode, 1);
+  EXPECT_EQ(restored.splits[0].key.AsString(), "TAG|7");
+  EXPECT_EQ(restored.splits[0].secondary_attr, "AreaId");
 
   const db::Table* events = restored_db.GetTable("events");
   ASSERT_NE(events, nullptr);
@@ -350,7 +348,6 @@ TEST(SnapshotTest, EngineStateSectionsRoundTrip) {
   ASSERT_TRUE(WriteSnapshot(dir, snap, database).ok());
   auto read = ReadSnapshot(dir, 1, nullptr);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.value().format, kSnapshotFormatV4);
   ASSERT_EQ(read.value().engine_state.size(), 3u);
   EXPECT_EQ(read.value().engine_state[0].kind, "plan");
   EXPECT_EQ(read.value().engine_state[0].host, "shard-0");
@@ -431,16 +428,59 @@ TEST(SnapshotTest, ManifestFormatNegotiation) {
   EXPECT_EQ(manifest.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(manifest.status().message().find("format 99"), std::string::npos)
       << manifest.status().ToString();
+}
 
-  // A format-less manifest (v1 writer) still reads.
+TEST(SnapshotTest, OlderSnapshotFormatsAreRefused) {
+  db::Database database;
+  SystemSnapshot snap;
+  snap.snapshot_id = 1;
+  std::string dir = FreshDir("old_format");
+  ASSERT_TRUE(WriteSnapshot(dir, snap, database).ok());
+
+  // The reader reads one format: an older manifest is refused by name, and
+  // so is a manifest from before the format line existed (format 1).
+  {
+    std::ofstream out(dir + "/MANIFEST");
+    out << "SASE-MANIFEST v1\nsnapshot 1\nformat 4\n";
+  }
+  auto manifest = ReadManifest(dir);
+  ASSERT_FALSE(manifest.ok());
+  EXPECT_EQ(manifest.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(manifest.status().message().find("format 4"), std::string::npos)
+      << manifest.status().ToString();
   {
     std::ofstream out(dir + "/MANIFEST");
     out << "SASE-MANIFEST v1\nsnapshot 1\n";
   }
-  EXPECT_TRUE(ReadManifest(dir).ok());
+  manifest = ReadManifest(dir);
+  ASSERT_FALSE(manifest.ok());
+  EXPECT_NE(manifest.status().message().find("format 1"), std::string::npos)
+      << manifest.status().ToString();
+
+  // A state file written by an older format is refused too, naming its
+  // header.
+  std::string state_path = dir + "/snap-1/state.sase";
+  std::ifstream in(state_path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  in.close();
+  std::string text = buffer.str();
+  std::string header = "SASE-CHECKPOINT v" + std::to_string(kSnapshotFormat);
+  ASSERT_EQ(text.rfind(header, 0), 0u);
+  text.replace(0, header.size(), "SASE-CHECKPOINT v4");
+  {
+    std::ofstream out(state_path);
+    out << text;
+  }
+  auto read = ReadSnapshot(dir, 1, nullptr);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kParseError);
+  EXPECT_NE(read.status().message().find("SASE-CHECKPOINT v4"),
+            std::string::npos)
+      << read.status().ToString();
 }
 
-TEST(SnapshotTest, AckedCursorRoundTripsAndPreCursorSnapshotsStillRead) {
+TEST(SnapshotTest, AckedCursorRoundTrips) {
   db::Database database;
   SystemSnapshot snap;
   snap.snapshot_id = 2;
@@ -454,36 +494,10 @@ TEST(SnapshotTest, AckedCursorRoundTripsAndPreCursorSnapshotsStillRead) {
 
   auto read = ReadSnapshot(dir, 2, nullptr);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.value().format, kSnapshotFormatV4);
-  EXPECT_TRUE(read.value().has_acked);
   EXPECT_EQ(read.value().acked_runtime, 9u);
   EXPECT_EQ(read.value().acked_serial, 5u);
-
-  // Downgrade the state file to a pre-cursor (v2) snapshot on disk: v2
-  // header, no ACKED line. The reader must still accept it and report the
-  // cursor as absent (has_acked false) rather than inventing "acked 0|0".
-  std::string state_path = dir + "/snap-2/state.sase";
-  std::ifstream in(state_path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  in.close();
-  std::string text = buffer.str();
-  size_t header = text.find("SASE-CHECKPOINT v4");
-  ASSERT_NE(header, std::string::npos);
-  text.replace(header, 18, "SASE-CHECKPOINT v2");
-  size_t acked_line = text.find("ACKED ");
-  ASSERT_NE(acked_line, std::string::npos);
-  text.erase(acked_line, text.find('\n', acked_line) - acked_line + 1);
-  {
-    std::ofstream out(state_path);
-    out << text;
-  }
-
-  auto old_read = ReadSnapshot(dir, 2, nullptr);
-  ASSERT_TRUE(old_read.ok()) << old_read.status().ToString();
-  EXPECT_EQ(old_read.value().format, kSnapshotFormatV2);
-  EXPECT_FALSE(old_read.value().has_acked);
-  EXPECT_EQ(old_read.value().delivered_runtime, 12u);
+  EXPECT_EQ(read.value().delivered_runtime, 12u);
+  EXPECT_EQ(read.value().delivered_serial, 5u);
 }
 
 TEST(SnapshotTest, MissingManifestIsNotFound) {

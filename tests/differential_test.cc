@@ -1,17 +1,19 @@
 // Randomized differential harness: for each seeded case (generated queries
-// + generated stream, tests/query_gen.h) the same workload runs four ways —
+// + generated stream, tests/query_gen.h) the same workload runs five ways —
 //
 //   1. one serial QueryEngine (the reference),
 //   2. the sharded runtime at 2 shards,
 //   3. the sharded runtime at 8 shards,
-//   4. a checkpointed SaseSystem killed mid-stream and recovered from disk
-//      (snapshot v2 direct operator-state restore + journal suffix replay),
+//   4. the sharded runtime resized 2 -> 8 -> 3 shards mid-stream (per-key
+//      operator state handed across both layout changes),
+//   5. a checkpointed SaseSystem killed mid-stream and recovered from disk
+//      (direct operator-state restore + journal suffix replay),
 //
 // and every execution must produce byte-identical output. Fixed seeds keep
 // CI deterministic; a failing case prints its seed and query texts so the
 // exact case reproduces with a one-line filter.
 //
-// The exactly-once mode adds a fifth way: a consumer-acked (AckMode::
+// The exactly-once mode adds a sixth way: a consumer-acked (AckMode::
 // kConsumer) SaseSystem killed inside the seeded emit-to-ack or
 // ack-to-fsync window (tests/query_gen.h AckPlan) at 1, 2 and 8 shards —
 // asserting the recovered process re-delivers nothing at or below the
@@ -99,7 +101,39 @@ std::vector<std::string> RunSharded(const Catalog& catalog,
   return lines;
 }
 
-/// Execution 4: checkpoint mid-stream, kill without flush, recover from
+/// Execution 4: the sharded runtime resized mid-stream at seed-derived
+/// points, 2 -> 8 -> 3 shards. Every stateful query's per-key state — stacks
+/// with or without WITHIN, negation candidates, parked deferrals, shared
+/// scans — must survive both hand-offs byte-identically.
+std::vector<std::string> RunResized(const Catalog& catalog,
+                                    const GeneratedCase& c,
+                                    bool sharing = false) {
+  size_t n = c.events.size();
+  size_t grow_at = n / 4 + (c.seed / 3) % (n / 4);       // [n/4, n/2)
+  size_t shrink_at = n / 2 + (c.seed / 11) % (n / 2 - 1);  // [n/2, n-1)
+  std::vector<std::string> lines;
+  RuntimeConfig config;
+  config.shard_count = 2;
+  config.merge_interval = 64;
+  config.scan_sharing = sharing;
+  ShardedRuntime runtime(&catalog, config);
+  for (size_t q = 0; q < c.queries.size(); ++q) {
+    auto id = runtime.Register(c.queries[q], Collector(&lines, q));
+    EXPECT_TRUE(id.ok()) << id.status().ToString() << "\n" << c.Describe();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (i == grow_at || i == shrink_at) {
+      Status resized = runtime.Resize(i == grow_at ? 8 : 3);
+      EXPECT_TRUE(resized.ok()) << resized.ToString() << "\n" << c.Describe();
+    }
+    runtime.OnEvent(c.events[i]);
+  }
+  runtime.OnFlush();
+  EXPECT_EQ(runtime.resize_count(), 2u);
+  return lines;
+}
+
+/// Execution 5: checkpoint mid-stream, kill without flush, recover from
 /// disk, finish the stream. Checkpoint and crash offsets derive from the
 /// case seed.
 std::vector<std::string> RunCheckpointKillRecover(const GeneratedCase& c,
@@ -202,6 +236,7 @@ TEST(DifferentialTest, SerialShardedAndRecoveredExecutionsAgree) {
     std::string dir = FreshDir(std::to_string(seed));
     EXPECT_EQ(golden, RunSharded(catalog, c, 2)) << "2-shard divergence";
     EXPECT_EQ(golden, RunSharded(catalog, c, 8)) << "8-shard divergence";
+    EXPECT_EQ(golden, RunResized(catalog, c)) << "resize divergence";
     EXPECT_EQ(golden, RunCheckpointKillRecover(c, /*shards=*/2, dir))
         << "checkpoint-kill-recover divergence";
     if (HasFatalFailure() || HasNonfatalFailure()) {
@@ -216,7 +251,7 @@ TEST(DifferentialTest, SerialShardedAndRecoveredExecutionsAgree) {
 
 /// Multi-query sharing sweep: cases built from families of structurally
 /// identical queries (tests/query_gen.h NextFamily) run with scan sharing
-/// ON — serial, 2-shard, 8-shard and checkpoint-kill-recover — and every
+/// ON — serial, 2-shard, 8-shard, resized and checkpoint-kill-recover — and every
 /// execution must be byte-identical to the serial sharing-OFF reference
 /// (dedicated plans). The hit counter proves the mode engaged: a sweep
 /// where groups never serve buffered matches would be vacuously green.
@@ -243,6 +278,8 @@ TEST(DifferentialTest, SharedScanExecutionsMatchDedicatedPlans) {
         << "2-shard sharing divergence";
     EXPECT_EQ(golden, RunSharded(catalog, c, 8, /*sharing=*/true))
         << "8-shard sharing divergence";
+    EXPECT_EQ(golden, RunResized(catalog, c, /*sharing=*/true))
+        << "resized sharing divergence";
     EXPECT_EQ(golden,
               RunCheckpointKillRecover(c, /*shards=*/2, dir, /*sharing=*/true))
         << "sharing checkpoint-kill-recover divergence";
@@ -260,11 +297,16 @@ TEST(DifferentialTest, SharedScanExecutionsMatchDedicatedPlans) {
 /// Skew-mode sharded execution: like RunSharded, but with the hot-key
 /// mitigation knobs set (low trigger cadence so ~260-event cases split).
 /// `report` (optional) receives the post-run StatsReport, which the sweep
-/// parses for split-engagement accounting.
+/// parses for split-engagement accounting; `secondary_splits` (optional)
+/// the secondary splits installed, each a shard rebuild with a hand-off.
+/// A non-zero `resize_to` resizes mid-stream, after the split, so a split
+/// key's pieces move between shard layouts.
 std::vector<std::string> RunShardedSkewed(const Catalog& catalog,
                                           const GeneratedCase& c, int shards,
                                           bool mitigation,
-                                          std::string* report = nullptr) {
+                                          std::string* report = nullptr,
+                                          uint64_t* secondary_splits = nullptr,
+                                          int resize_to = 0) {
   std::vector<std::string> lines;
   RuntimeConfig config;
   config.shard_count = shards;
@@ -277,14 +319,22 @@ std::vector<std::string> RunShardedSkewed(const Catalog& catalog,
     auto id = runtime.Register(c.queries[q], Collector(&lines, q));
     EXPECT_TRUE(id.ok()) << id.status().ToString() << "\n" << c.Describe();
   }
-  for (const EventPtr& event : c.events) runtime.OnEvent(event);
+  for (size_t i = 0; i < c.events.size(); ++i) {
+    if (resize_to > 0 && i == c.events.size() / 2) {
+      EXPECT_TRUE(runtime.Resize(resize_to).ok()) << c.Describe();
+    }
+    runtime.OnEvent(c.events[i]);
+  }
   runtime.OnFlush();
   if (report != nullptr) *report = runtime.StatsReport();
+  if (secondary_splits != nullptr) {
+    *secondary_splits = runtime.hotkey_secondary_splits();
+  }
   return lines;
 }
 
 /// Skew-mode checkpoint-kill-recover: mitigation on, so the split table the
-/// pre-crash process installed rides the snapshot (v4 SPLIT lines) and the
+/// pre-crash process installed rides the snapshot (SPLIT lines) and the
 /// recovered process re-routes split keys identically. `snapshot_had_splits`
 /// reports whether the snapshot the recovery actually read carried any
 /// split-table entries.
@@ -350,8 +400,9 @@ std::vector<std::string> RunSkewedKillRecover(const GeneratedCase& c,
 
 /// Skewed-stream mitigation sweep: a 90%-hot key over the three mitigation
 /// families (tests/query_gen.h GenerateSkewedCase) at 1, 2 and 8 shards —
-/// mitigation on, mitigation off, and a mitigated checkpoint-kill-recover
-/// leg — every execution byte-identical to the serial reference. The
+/// mitigation on, mitigation off, a mitigated 2 -> 3 shard resize and a
+/// mitigated checkpoint-kill-recover leg — every execution byte-identical
+/// to the serial reference. The
 /// engagement counters prove the sweep exercised real splits (and
 /// checkpointed them), not 50 cases of never-triggered mitigation.
 TEST(DifferentialTest, HotKeyMitigationStaysByteIdentical) {
@@ -359,6 +410,7 @@ TEST(DifferentialTest, HotKeyMitigationStaysByteIdentical) {
   const uint64_t cases = CaseCount();
   uint64_t interesting = 0;
   uint64_t engaged = 0;             // mitigated runs with an active split
+  uint64_t secondary_engaged = 0;   // mitigated runs that handed state off
   uint64_t checkpointed_splits = 0; // snapshots carrying a split table
 
   for (uint64_t seed = kFirstSeed; seed < kFirstSeed + cases; ++seed) {
@@ -372,18 +424,24 @@ TEST(DifferentialTest, HotKeyMitigationStaysByteIdentical) {
 
     for (int shards : {1, 2, 8}) {
       std::string report;
+      uint64_t secondary = 0;
       EXPECT_EQ(golden,
                 RunShardedSkewed(catalog, c, shards, /*mitigation=*/true,
-                                 &report))
+                                 &report, &secondary))
           << shards << "-shard mitigated divergence";
       if (report.find("hot-key splits:") != std::string::npos &&
           report.find("active=0") == std::string::npos) {
         ++engaged;
       }
+      if (secondary > 0) ++secondary_engaged;
       EXPECT_EQ(golden,
                 RunShardedSkewed(catalog, c, shards, /*mitigation=*/false))
           << shards << "-shard unmitigated divergence";
     }
+    EXPECT_EQ(golden, RunShardedSkewed(catalog, c, /*shards=*/2,
+                                       /*mitigation=*/true, nullptr, nullptr,
+                                       /*resize_to=*/3))
+        << "mitigated 2->3 resize divergence";
 
     bool had_splits = false;
     std::string dir = FreshDir("skew_" + std::to_string(seed));
@@ -403,6 +461,10 @@ TEST(DifferentialTest, HotKeyMitigationStaysByteIdentical) {
   // shard count; family 2 refuses by design.
   EXPECT_GE(engaged, cases)
       << "mitigation rarely engaged; the sweep is not testing splits";
+  // Family 1 sub-partitions its hot key: a shard rebuild that hands the
+  // key's state to the (key, AreaId) owners.
+  EXPECT_GE(secondary_engaged, cases / 3)
+      << "secondary splits rarely happened; the split hand-off is untested";
   EXPECT_GE(checkpointed_splits, cases / 3)
       << "snapshots rarely carried a split table; the kill-recover leg is "
          "not testing split restore";
@@ -422,7 +484,6 @@ struct AckRunResult {
   // What the recovered system resumed from.
   uint64_t recovered_runtime = 0;
   uint64_t recovered_serial = 0;
-  bool recovered_fallback = true;
   // Smallest cursor position delivered per class from recovery onwards
   // (replay included); 0 = that class delivered nothing after the kill.
   uint64_t min_redelivered_runtime = 0;
@@ -529,7 +590,6 @@ AckRunResult RunAckCrashRecover(const GeneratedCase& c, int shards,
   auto snap = checkpoint::ReadSnapshot(dir, manifest.value(), nullptr);
   EXPECT_TRUE(snap.ok()) << snap.status().ToString();
   if (!snap.ok()) return result;
-  EXPECT_TRUE(snap.value().has_acked) << c.Describe();
   result.durable_runtime = snap.value().acked_runtime;
   result.durable_serial = snap.value().acked_serial;
   auto scan = checkpoint::ReadJournal(dir, manifest.value());
@@ -553,7 +613,6 @@ AckRunResult RunAckCrashRecover(const GeneratedCase& c, int shards,
   EXPECT_TRUE(recovered.ok()) << recovered.status().ToString() << "\n"
                               << c.Describe();
   if (!recovered.ok()) return result;
-  result.recovered_fallback = recovered.value()->recovered_ack_fallback();
   result.recovered_runtime = recovered.value()->acked_runtime();
   result.recovered_serial = recovered.value()->acked_serial();
   ack_target = recovered.value().get();
@@ -586,10 +645,9 @@ TEST(DifferentialTest, ExactlyOnceAckedCursorSurvivesCrashWindows) {
       EXPECT_EQ(run.stamp_mismatches, 0u)
           << shards << "-shard re-delivery changed content or stamp";
 
-      // The recovery gate IS the durable acked cursor (no fallback), and
-      // nothing at or below it is ever delivered again: zero duplicates
-      // past the acked cursor.
-      EXPECT_FALSE(run.recovered_fallback) << shards << "-shard fallback";
+      // The recovery gate IS the durable acked cursor, and nothing at or
+      // below it is ever delivered again: zero duplicates past the acked
+      // cursor.
       EXPECT_EQ(run.recovered_runtime, run.durable_runtime) << shards;
       EXPECT_EQ(run.recovered_serial, run.durable_serial) << shards;
       if (run.min_redelivered_runtime != 0) {

@@ -422,6 +422,15 @@ inline GeneratedCase GenerateSkewedCase(const Catalog& catalog, uint64_t seed,
           "WHERE a.TagId = b.TagId AND a.TagId = c.TagId "
           "AND a.AreaId = b.AreaId AND a.AreaId = c.AreaId WITHIN " +
           std::to_string(window + 15) + " RETURN a.TagId, a.AreaId");
+      // Three positive states: the middle stack's back-pointers are read
+      // after a split or resize moves them, so the hand-off must rebuild
+      // them right.
+      result.queries.push_back(
+          "EVENT SEQ(SHELF_READING a, COUNTER_READING b, EXIT_READING c) "
+          "WHERE a.TagId = b.TagId AND a.TagId = c.TagId "
+          "AND a.AreaId = b.AreaId AND a.AreaId = c.AreaId WITHIN " +
+          std::to_string(window + 30) +
+          " RETURN a.TagId, b.Timestamp AS counter_ts, c.Timestamp AS exit_ts");
       break;
     default:
       result.queries.push_back(

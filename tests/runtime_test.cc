@@ -989,18 +989,17 @@ TEST(ShardedRuntimeResizeTest, GoldenByteIdenticalAcrossGrowAndShrink) {
   EXPECT_EQ(runtime.resize_count(), 3u);
   EXPECT_EQ(runtime.grow_count(), 2u);
   EXPECT_EQ(runtime.shrink_count(), 1u);
-  EXPECT_GT(runtime.events_replayed(), 0u);
   auto stats = runtime.FullStats();
   EXPECT_EQ(stats.shard_count, 3);
   EXPECT_EQ(stats.resizes, 3u);
   EXPECT_EQ(stats.grows, 2u);
   EXPECT_EQ(stats.shrinks, 1u);
-  EXPECT_EQ(stats.events_replayed, runtime.events_replayed());
   // Fleet engine counters are continuous across resizes (retired shard
-  // engines' counters are carried over): 2000 default events to one shard
-  // each + 2000 belt events to one shard each + 2000 belt events to the
-  // broadcast worker (the COUNT query), plus each replayed event once.
-  EXPECT_EQ(stats.engine.events_processed, 6000u + stats.events_replayed);
+  // engines' counters are carried over) and the hand-off processes no
+  // event twice: 2000 default events to one shard each + 2000 belt events
+  // to one shard each + 2000 belt events to the broadcast worker (the
+  // COUNT query).
+  EXPECT_EQ(stats.engine.events_processed, 6000u);
 }
 
 TEST(ShardedRuntimeResizeTest, DeferralStraddlingResizeReleasesExactlyOnce) {
@@ -1063,143 +1062,120 @@ TEST(ShardedRuntimeResizeTest, DeferralStraddlingResizeReleasesExactlyOnce) {
   runtime.OnFlush();
   EXPECT_EQ(serial, sharded);
   EXPECT_EQ(runtime.resize_count(), 1u);
-  EXPECT_GT(runtime.events_replayed(), 0u);
 }
 
-TEST(ShardedRuntimeResizeTest, RegistrationPointsSurviveReplay) {
+TEST(ShardedRuntimeResizeTest, RegistrationPointsSurviveResize) {
   // A query registered mid-stream must not see pre-registration events
-  // through the resize replay: the replay re-interleaves registrations at
-  // their original dispatch positions.
+  // after a resize. Dedicated plans start empty at registration, so only
+  // post-registration state exists to hand off. With scan sharing the late
+  // query joins a group that already scanned the pre-registration event:
+  // its join gate must move with the state, while the early member keeps
+  // matching against that event.
   Catalog catalog = Catalog::RetailDemo();
+  const char* kEarlyQuery =
+      "EVENT SEQ(SHELF_READING x, EXIT_READING z) "
+      "WHERE x.TagId = z.TagId WITHIN 100 RETURN x.TagId";
   const char* kQuery =
       "EVENT SEQ(SHELF_READING x, EXIT_READING z) "
       "WHERE x.TagId = z.TagId WITHIN 100 RETURN x.TagId, x.Timestamp AS t";
 
-  SequenceNumber seq = 0;
-  auto make = [&](const char* type, const std::string& tag, Timestamp ts) {
-    EventBuilder b(catalog, type);
-    auto e = b.Set("TagId", tag).Set("AreaId", 1).Build(ts, seq++);
-    EXPECT_TRUE(e.ok());
-    return e.value();
-  };
+  for (bool sharing : {false, true}) {
+    SCOPED_TRACE(sharing ? "scan sharing" : "dedicated plans");
+    SequenceNumber seq = 0;
+    auto make = [&](const char* type, const std::string& tag, Timestamp ts) {
+      EventBuilder b(catalog, type);
+      auto e = b.Set("TagId", tag).Set("AreaId", 1).Build(ts, seq++);
+      EXPECT_TRUE(e.ok());
+      return e.value();
+    };
 
-  std::vector<std::string> out;
-  RuntimeConfig config;
-  config.shard_count = 2;
-  config.batch_size = 1;
-  config.merge_interval = 2;
-  ShardedRuntime runtime(&catalog, config);
-  // A shelf reading dispatched BEFORE registration: the pattern's first
-  // half exists in the stream but must stay invisible to the query.
-  runtime.OnEvent(make("SHELF_READING", "TAG0", 1));
-  ASSERT_TRUE(runtime
-                  .Register(kQuery,
-                            [&out](const OutputRecord& r) {
-                              out.push_back(r.ToString());
-                            })
-                  .ok());
-  // TAG1's shelf reading is post-registration; only it may match.
-  runtime.OnEvent(make("SHELF_READING", "TAG1", 2));
-  ASSERT_TRUE(runtime.Resize(4).ok());
-  runtime.OnEvent(make("EXIT_READING", "TAG0", 3));  // no match: pre-reg x
-  runtime.OnEvent(make("EXIT_READING", "TAG1", 4));  // match
-  runtime.OnFlush();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_NE(out[0].find("TAG1"), std::string::npos);
+    std::vector<std::string> early;
+    std::vector<std::string> out;
+    RuntimeConfig config;
+    config.shard_count = 2;
+    config.batch_size = 1;
+    config.merge_interval = 2;
+    config.scan_sharing = sharing;
+    ShardedRuntime runtime(&catalog, config);
+    ASSERT_TRUE(runtime
+                    .Register(kEarlyQuery,
+                              [&early](const OutputRecord& r) {
+                                early.push_back(r.ToString());
+                              })
+                    .ok());
+    // A shelf reading dispatched BEFORE registration: the pattern's first
+    // half exists in the stream but must stay invisible to the query.
+    runtime.OnEvent(make("SHELF_READING", "TAG0", 1));
+    ASSERT_TRUE(runtime
+                    .Register(kQuery,
+                              [&out](const OutputRecord& r) {
+                                out.push_back(r.ToString());
+                              })
+                    .ok());
+    // TAG1's shelf reading is post-registration; only it may match.
+    runtime.OnEvent(make("SHELF_READING", "TAG1", 2));
+    ASSERT_TRUE(runtime.Resize(4).ok());
+    runtime.OnEvent(make("EXIT_READING", "TAG0", 3));  // no match: pre-reg x
+    runtime.OnEvent(make("EXIT_READING", "TAG1", 4));  // match
+    runtime.OnFlush();
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_NE(out[0].find("TAG1"), std::string::npos);
+    ASSERT_EQ(early.size(), 2u);
+    EXPECT_NE(early[0].find("TAG0"), std::string::npos);
+    if (sharing) {
+      EXPECT_GT(runtime.shared_scan_hits(), 0u);
+    }
+  }
 }
 
-TEST(ShardedRuntimeResizeTest, UnboundedWindowRefusesResize) {
+TEST(ShardedRuntimeResizeTest, WithinLessStatefulQueriesResizeByteIdentical) {
+  // Key-partitioned patterns with no WITHIN hold every partial match for
+  // the whole stream. Their state moves across mid-stream grow and shrink
+  // like any other, and output stays byte-identical to serial.
   Catalog catalog = Catalog::RetailDemo();
-  RuntimeConfig config;
-  config.shard_count = 2;
-  ShardedRuntime runtime(&catalog, config);
-  // Key-partitioned two-step pattern with no WITHIN: stateful, sharded,
-  // unbounded in-flight window.
-  auto id = runtime.Register(
+  auto trace = GoldenTrace(catalog);
+  trace.resize(1600);
+  const char* kQueries[] = {
       "EVENT SEQ(SHELF_READING x, EXIT_READING z) WHERE x.TagId = z.TagId "
-      "RETURN x.TagId",
-      nullptr);
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  ASSERT_TRUE(runtime.IsSharded(id.value()));
-  Status refused = runtime.Resize(4);
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(runtime.shard_count(), 2);
-  // Dropping the unbounded query restores resizability.
-  ASSERT_TRUE(runtime.Unregister(id.value()).ok());
-  EXPECT_TRUE(runtime.Resize(4).ok());
-  EXPECT_EQ(runtime.shard_count(), 4);
-}
-
-TEST(ShardedRuntimeResizeTest, ReplayBufferStaysBounded) {
-  // The in-flight window retained for replay must track the WITHIN span,
-  // not the stream length.
-  Catalog catalog = Catalog::RetailDemo();
-  RuntimeConfig config;
-  config.shard_count = 2;
-  ShardedRuntime runtime(&catalog, config);
-  ASSERT_TRUE(runtime
-                  .Register(
-                      "EVENT SEQ(SHELF_READING x, EXIT_READING z) "
-                      "WHERE x.TagId = z.TagId WITHIN 20 RETURN x.TagId",
-                      nullptr)
-                  .ok());
-  constexpr uint64_t kEvents = 20000;
-  for (uint64_t i = 0; i < kEvents; ++i) {
-    EventBuilder b(catalog, i % 5 == 4 ? "EXIT_READING" : "SHELF_READING");
-    auto e = b.Set("TagId", "TAG" + std::to_string(i % 16))
-                 .Set("AreaId", int64_t{1})
-                 .Build(static_cast<Timestamp>(1 + i / 4),
-                        static_cast<SequenceNumber>(i));
-    ASSERT_TRUE(e.ok());
-    runtime.OnEvent(e.value());
-  }
-  // Window of 20 ticks at 4 events/tick ~= 80 events + the boundary tick.
-  EXPECT_LE(runtime.replay_buffer_len(), 200u);
-  runtime.OnFlush();
-}
-
-TEST(ShardedRuntimeResizeTest, QuiescentStreamDoesNotPinOtherStreamsReplay) {
-  // Per-stream retention: one stream going silent (its clock frozen, its
-  // last events legitimately still in-window) must not block the pruning
-  // of a busy stream's replay entries.
-  Catalog catalog = Catalog::RetailDemo();
-  RuntimeConfig config;
-  config.shard_count = 2;
-  ShardedRuntime runtime(&catalog, config);
-  ASSERT_TRUE(runtime
-                  .Register(
-                      "FROM belt EVENT SEQ(SHELF_READING x, EXIT_READING z) "
-                      "WHERE x.TagId = z.TagId WITHIN 50 RETURN x.TagId",
-                      nullptr)
-                  .ok());
-  ASSERT_TRUE(runtime
-                  .Register(
-                      "EVENT SEQ(SHELF_READING x, EXIT_READING z) "
-                      "WHERE x.TagId = z.TagId WITHIN 20 RETURN x.TagId",
-                      nullptr)
-                  .ok());
-  SequenceNumber seq = 0;
-  auto make = [&](Timestamp ts) {
-    EventBuilder b(catalog, "SHELF_READING");
-    auto e = b.Set("TagId", "TAG" + std::to_string(seq % 8))
-                 .Set("AreaId", int64_t{1})
-                 .Build(ts, seq++);
-    EXPECT_TRUE(e.ok());
-    return e.value();
+      "RETURN x.TagId, x.Timestamp AS shelf_ts, z.Timestamp AS exit_ts",
+      "EVENT SEQ(SHELF_READING x, !(COUNTER_READING y), EXIT_READING z) "
+      "WHERE x.TagId = y.TagId AND x.TagId = z.TagId RETURN x.TagId",
   };
-  // One belt event, then belt goes silent forever.
-  runtime.OnStreamEvent("belt", make(1));
-  // 30k default-input events: retention there is ~20 ticks of window.
-  for (uint64_t i = 0; i < 30000; ++i) {
-    runtime.OnEvent(make(static_cast<Timestamp>(1 + i / 4)));
-  }
-  // Bounded by the default stream's window (~80 events + slack) plus the
-  // one parked belt entry — nowhere near the 30k fed.
-  EXPECT_LE(runtime.replay_buffer_len(), 200u);
-  // And the resize still works, belt entry included.
-  ASSERT_TRUE(runtime.Resize(4).ok());
-  runtime.OnFlush();
+  auto run = [&](QueryEngine* engine, ShardedRuntime* runtime) {
+    std::vector<std::string> lines;
+    for (size_t q = 0; q < std::size(kQueries); ++q) {
+      OutputCallback collect = [&lines, q](const OutputRecord& record) {
+        lines.push_back("q" + std::to_string(q) + "|" + record.ToString());
+      };
+      auto id = engine != nullptr ? engine->Register(kQueries[q], collect)
+                                  : runtime->Register(kQueries[q], collect);
+      EXPECT_TRUE(id.ok()) << id.status().ToString();
+      if (runtime != nullptr) {
+        EXPECT_TRUE(runtime->IsSharded(id.value()));
+      }
+    }
+    for (size_t i = 0; i < trace.size(); ++i) {
+      if (runtime != nullptr && (i == 500 || i == 1100)) {
+        EXPECT_TRUE(runtime->Resize(i == 500 ? 5 : 3).ok());
+      }
+      if (engine != nullptr) engine->OnEvent(trace[i]);
+      if (runtime != nullptr) runtime->OnEvent(trace[i]);
+    }
+    if (engine != nullptr) engine->OnFlush();
+    if (runtime != nullptr) runtime->OnFlush();
+    return lines;
+  };
+
+  QueryEngine engine(&catalog);
+  auto serial = run(&engine, nullptr);
+  ASSERT_GT(serial.size(), 100u);
+  RuntimeConfig config;
+  config.shard_count = 2;
+  config.merge_interval = 128;
+  ShardedRuntime runtime(&catalog, config);
+  EXPECT_EQ(serial, run(nullptr, &runtime));
+  EXPECT_EQ(runtime.resize_count(), 2u);
+  EXPECT_EQ(runtime.shard_count(), 3);
 }
 
 TEST(ShardedRuntimeElasticTest, BackpressureGrowsTheFleet) {
@@ -1382,9 +1358,8 @@ TEST(ShardedRuntimeTest, StatsReportCarriesAllDocumentedLines) {
   EXPECT_NE(report.find(" compactions="), std::string::npos) << report;
   EXPECT_NE(report.find("entries reclaimed)"), std::string::npos) << report;
   // Elastic / resize counters (this PR's lines).
-  EXPECT_NE(report.find("resizes: total=1 up=1 down=0"), std::string::npos)
+  EXPECT_NE(report.find("resizes: total=1 up=1 down=0\n"), std::string::npos)
       << report;
-  EXPECT_NE(report.find(" replayed="), std::string::npos) << report;
   EXPECT_NE(report.find("elastic off"), std::string::npos) << report;
   // One line per input stream with per-shard routing counts: the default
   // input and the named belt stream, each with a 4-slot shard vector.

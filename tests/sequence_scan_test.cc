@@ -147,6 +147,58 @@ TEST_F(SequenceScanTest, SingleComponentPattern) {
   EXPECT_EQ(out.size(), 1u);
 }
 
+TEST_F(SequenceScanTest, SingleStatePatternsKeepNoInstances) {
+  // A one-state pattern completes on every accepted event and no later
+  // state reads its stack, so nothing may stay live — with or without a
+  // window, partitioned or not — while the output is every accepted event.
+  constexpr int kEvents = 2000;
+  StreamBuilder stream(&catalog_);
+  size_t shelf = 0;
+  size_t shelf_area2 = 0;
+  for (int i = 0; i < kEvents; ++i) {
+    const char* type = i % 4 == 3 ? "EXIT_READING" : "SHELF_READING";
+    int64_t area = i % 5;
+    stream.Add(type, i / 2, "T" + std::to_string(i % 40), area);
+    if (i % 4 != 3) {
+      ++shelf;
+      if (area == 2) ++shelf_area2;
+    }
+  }
+  struct Case {
+    const char* text;
+    size_t outputs;  // 0 = checked elsewhere (negation decides)
+  };
+  const Case kCases[] = {
+      {"EVENT SHELF_READING s WHERE s.AreaId = 2 RETURN s.TagId", shelf_area2},
+      {"EVENT ANY(SHELF_READING s) RETURN s.TagId, s.AreaId", shelf},
+      {"EVENT SHELF_READING s WHERE s.AreaId = 2 WITHIN 10 RETURN s.TagId",
+       shelf_area2},
+      // One positive component partitioned by the negation's equivalence.
+      {"EVENT SEQ(SHELF_READING x, !(EXIT_READING y)) "
+       "WHERE x.TagId = y.TagId WITHIN 10 RETURN x.TagId",
+       0},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.text);
+    QueryEngine engine(&catalog_);
+    size_t outputs = 0;
+    auto id = engine.Register(c.text, [&](const OutputRecord&) { ++outputs; });
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    for (const auto& event : stream.events()) engine.OnEvent(event);
+    const SequenceScan& scan = engine.plan(id.value())->sequence_scan();
+    EXPECT_EQ(scan.stats().instances_alive, 0u);
+    EXPECT_EQ(scan.stats().peak_instances, 0u);
+    SequenceScan::Footprint footprint = scan.StateFootprint();
+    EXPECT_EQ(footprint.instances, 0u);
+    EXPECT_EQ(footprint.partitions, 0u);
+    EXPECT_EQ(footprint.bytes, 0u);
+    engine.OnFlush();
+    if (c.outputs > 0) {
+      EXPECT_EQ(outputs, c.outputs);
+    }
+  }
+}
+
 TEST_F(SequenceScanTest, StacksPrunedUnderWindow) {
   // Direct operator-level check of the window pushdown: instances older
   // than (now - W) are discarded.
@@ -181,9 +233,13 @@ TEST_F(SequenceScanTest, UnboundedWithoutWindowKeepsAllInstances) {
   SequenceScan scan(&nfa, -1, &functions, query.slot_count());
   StreamBuilder stream(&catalog_);
   for (int i = 0; i < 50; ++i) stream.Add("SHELF_READING", i + 1, "T");
+  for (int i = 0; i < 10; ++i) stream.Add("EXIT_READING", 100 + i, "T");
   for (const auto& event : stream.events()) scan.OnEvent(event);
+  // Every first-state instance stays; accepting-state events complete
+  // their matches on arrival and are not kept (no later state reads them).
   EXPECT_EQ(scan.stats().instances_alive, 50u);
   EXPECT_EQ(scan.stats().instances_pruned, 0u);
+  EXPECT_EQ(scan.stats().matches_emitted, 500u);
 }
 
 TEST_F(SequenceScanTest, StatsCountMatches) {
