@@ -12,8 +12,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <limits>
-
 #include "bench_util.h"
 #include "runtime/sharded_runtime.h"
 
@@ -142,10 +140,8 @@ BENCHMARK(BM_DispatchOverhead)
 
 /// Long-stream memory bound: the dispatch log once grew 16 B/event forever;
 /// prefix compaction below the merge watermark keeps it at O(in-flight
-/// window). state.range(0) toggles compaction (0 = disabled, the
-/// pre-compaction behavior) so the peak_log counter shows before vs after:
-/// ~kLongStreamEvents entries without compaction, a few merge intervals
-/// with it.
+/// window), so the peak_log counter stays at a few merge intervals instead
+/// of ~kLongStreamEvents entries.
 void BM_LongStreamDispatchLog(benchmark::State& state) {
   constexpr int64_t kLongStreamEvents = 200000;
   SyntheticConfig stream_config;
@@ -154,15 +150,12 @@ void BM_LongStreamDispatchLog(benchmark::State& state) {
   stream_config.tag_count = 200;
   const auto& stream = CachedStream(stream_config, "long");
 
-  const bool compaction = state.range(0) != 0;
   size_t peak = 0, final_len = 0;
   uint64_t compactions = 0;
   for (auto _ : state) {
     RuntimeConfig config;
     config.shard_count = 4;
     config.merge_interval = 1024;
-    config.log_compact_min =
-        compaction ? size_t{1024} : std::numeric_limits<size_t>::max();
     ShardedRuntime runtime(&BenchCatalog(), config);
     uint64_t count = 0;
     auto id = runtime.Register(QueryVariant(0),
@@ -185,8 +178,6 @@ void BM_LongStreamDispatchLog(benchmark::State& state) {
 }
 
 BENCHMARK(BM_LongStreamDispatchLog)
-    ->Arg(0)->Arg(1)
-    ->ArgNames({"compaction"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

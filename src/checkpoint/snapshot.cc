@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "db/dump.h"
@@ -387,6 +388,49 @@ Result<SystemSnapshot> ReadSnapshot(const std::string& dir, uint64_t id,
     SASE_RETURN_IF_ERROR(db::LoadFileInto(snap_dir + "/db.sase", database));
   }
   return snap;
+}
+
+Status LoadEngineSections(const SystemSnapshot& snap, const std::string& host,
+                          const std::vector<QueryId>& queries,
+                          QueryEngine* engine) {
+  std::set<QueryId> plans;
+  bool counters = false;
+  for (const EngineStateSection& section : snap.engine_state) {
+    if (section.host != host) continue;
+    bool plan = section.kind == "plan";
+    if (!plan && section.kind != "engine") continue;
+    if (section.version > 1) {
+      return Status::InvalidArgument(
+          "engine-state section for query #" + std::to_string(section.query) +
+          " uses payload version " + std::to_string(section.version) +
+          "; this reader supports up to 1");
+    }
+    Status loaded = plan ? engine->RestoreState(section.query, section.payload)
+                         : engine->RestoreEngineState(section.payload);
+    if (!loaded.ok()) {
+      return Status::InvalidArgument(
+          "cannot restore engine state of query #" +
+          std::to_string(section.query) + " on host '" + host +
+          "': " + loaded.ToString());
+    }
+    if (plan) {
+      plans.insert(section.query);
+    } else {
+      counters = true;
+    }
+  }
+  for (QueryId id : queries) {
+    if (plans.count(id) == 0) {
+      return Status::InvalidArgument(
+          "snapshot carries no engine-state payload for query #" +
+          std::to_string(id) + " on host '" + host + "'");
+    }
+  }
+  if (!counters) {
+    return Status::InvalidArgument(
+        "snapshot carries no engine-counter payload for host '" + host + "'");
+  }
+  return Status::Ok();
 }
 
 std::string DbDumpPath(const std::string& dir, uint64_t id) {

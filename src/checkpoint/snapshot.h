@@ -78,11 +78,21 @@ struct EngineStateSection {
 /// from, and the serialized engine state per query and host. The Event
 /// Database itself rides along as a db::Dump file in the same snapshot
 /// directory.
+///
+/// This is also the sharded runtime's checkpoint record:
+/// ShardedRuntime::ExportCheckpoint fills the runtime's part (shape,
+/// dispatch and merge counters, routing flags, streams, splits, its queries
+/// and their engine-state sections) and RestoreCheckpoint reads it back.
 struct SystemSnapshot {
   uint64_t snapshot_id = 0;
+  /// The runtime shape the engine-state payloads were captured at. Recovery
+  /// restores at this count and then resizes to the caller's.
   int shard_count = 1;
   std::string partition_key;
   uint64_t events_dispatched = 0;
+  /// Delivered-output counters per host class. The runtime class is the
+  /// OutputMerger's merge ordinal: every merged record reaches exactly one
+  /// delivery callback.
   uint64_t delivered_runtime = 0;
   uint64_t delivered_serial = 0;
   /// Consumer-acked output counters at the snapshot point.
@@ -104,6 +114,18 @@ struct SystemSnapshot {
   std::vector<SnapshotSplit> splits;
   std::vector<EngineStateSection> engine_state;
 };
+
+/// Loads every engine-state section addressed to `host` into `engine`: plan
+/// payloads into their queries, the counter payload into the engine itself.
+/// Refuses a snapshot that lacks one — each of `queries` needs its plan
+/// section and the engine its counter section — since a lost section (or a
+/// corrupted kind field: the SECTION header rides outside the payload CRC)
+/// would otherwise restore empty state. Sections of unknown kinds are
+/// skipped; a known kind with a newer payload version is refused. The
+/// serial engine ("serial") and every runtime worker load through here.
+Status LoadEngineSections(const SystemSnapshot& snap, const std::string& host,
+                          const std::vector<QueryId>& queries,
+                          QueryEngine* engine);
 
 /// Writes `snap` (state file + Event Database dump) into
 /// `<dir>/snap-<id>/` and then atomically repoints `<dir>/MANIFEST` at the

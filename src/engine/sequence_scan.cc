@@ -37,15 +37,20 @@ void SequenceScan::OnEvent(const EventPtr& event) {
       // Descending state order: a state's push must observe the previous
       // stack as it was before this event touched it.
       for (auto it = states.rbegin(); it != states.rend(); ++it) {
-        Process(&unpartitioned_, *it, event);
+        if (EdgeFiltersPass(nfa_->edge(static_cast<size_t>(*it)), event)) {
+          Process(&unpartitioned_, *it, event);
+        }
       }
     } else {
       // PAIS: each candidate state may key the event by a different
       // attribute (x.K1 = y.K2 partitions type-A events by K1 and type-B
-      // events by K2), so the partition is resolved per state.
+      // events by K2), so the partition is resolved per state — and only
+      // for an event the state's edge filters accept, so a rejected event
+      // creates and prunes no partition.
       for (auto it = states.rbegin(); it != states.rend(); ++it) {
         int state = *it;
         const NfaEdge& edge = nfa_->edge(static_cast<size_t>(state));
+        if (!EdgeFiltersPass(edge, event)) continue;
         const Value& key = event->attribute(edge.partition_attr);
         auto [part_it, inserted] = partitions_.try_emplace(key);
         if (inserted) {
@@ -95,9 +100,6 @@ bool SequenceScan::EdgeFiltersPass(const NfaEdge& edge, const EventPtr& event) {
 
 void SequenceScan::Process(Partition* partition, int state,
                            const EventPtr& event) {
-  const NfaEdge& edge = nfa_->edge(static_cast<size_t>(state));
-  if (!EdgeFiltersPass(edge, event)) return;
-
   uint64_t prev_abs = kNoPrev;
   if (state > 0) {
     prev_abs = NewestPredecessor(

@@ -145,6 +145,8 @@ class SequenceScan : public Operator {
     std::vector<Stack> stacks;
   };
 
+  /// Pushes (or, at the accepting state, completes) `event` at `state`;
+  /// the caller has checked the state's edge filters.
   void Process(Partition* partition, int state, const EventPtr& event);
   /// Absolute index of the newest instance in `prev` whose timestamp is
   /// strictly smaller than `ts` (stacks are time-sorted), or kNoPrev.

@@ -147,10 +147,8 @@ std::vector<TaggedRecord> OutputMerger::DrainReady(uint64_t safe_index) {
 
 std::vector<TaggedRecord> OutputMerger::DrainFinal() {
   auto out = Release(std::vector<bool>(pending_.size(), true));
-  // The end-of-stream clear reclaims the log like a compaction, but with
-  // compaction disabled the counters must stay zero — they document the
-  // knob's effect.
-  if (live_entries_ > 0 && compact_min_ != static_cast<size_t>(-1)) {
+  // The end-of-stream clear reclaims the log like a compaction.
+  if (live_entries_ > 0) {
     compacted_entries_ += live_entries_;
     ++compactions_;
   }

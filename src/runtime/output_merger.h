@@ -62,8 +62,7 @@ class OutputMerger {
   static constexpr uint64_t kNoTrigger = static_cast<uint64_t>(-1);
 
   /// `compact_min`: dead prefix entries a stream log accumulates before the
-  /// prefix is physically truncated (amortizes the erase); SIZE_MAX disables
-  /// compaction entirely (the pre-compaction behavior, for benchmarks).
+  /// prefix is physically truncated (amortizes the erase).
   explicit OutputMerger(size_t compact_min = 1024)
       : compact_min_(compact_min) {}
 

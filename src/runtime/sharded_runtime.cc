@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <sstream>
 
 #include "obs/report.h"
@@ -424,7 +423,7 @@ void ShardedRuntime::MaybeAutoResize() {
   (void)Resize(target);
 }
 
-Result<ShardedRuntime::CheckpointState> ShardedRuntime::ExportCheckpoint() {
+Status ShardedRuntime::ExportCheckpoint(checkpoint::SystemSnapshot* snap) {
   if (resizing_) {
     return Status::FailedPrecondition(
         "cannot checkpoint during a Resize: the shard layout is mid-change");
@@ -435,78 +434,98 @@ Result<ShardedRuntime::CheckpointState> ShardedRuntime::ExportCheckpoint() {
   // engines — which is serialized directly below.
   WaitIdle();
 
-  CheckpointState state;
-  state.shard_count = config_.shard_count;
-  state.partition_key = config_.partition_key;
-  state.events_dispatched = events_dispatched_;
-  state.records_merged = merger_.merged_count();
-  state.any_routed = any_routed_;
-  state.routed_stream = routed_stream_;
-  state.multi_routed = multi_routed_;
-  for (const auto& [id, entry] : queries_) {
-    state.queries.push_back(CheckpointState::Query{id, entry.text,
-                                                   entry.options});
-  }
-  for (const Partitioner::StreamState& stream : partitioner_.streams()) {
-    state.streams.push_back(CheckpointState::Stream{
-        stream.name, stream.clock, stream.last_seq, stream.events});
+  snap->shard_count = config_.shard_count;
+  snap->partition_key = config_.partition_key;
+  snap->events_dispatched = events_dispatched_;
+  snap->delivered_runtime = merger_.merged_count();
+  snap->any_routed = any_routed_;
+  snap->routed_stream = routed_stream_;
+  snap->multi_routed = multi_routed_;
+  const std::vector<Partitioner::StreamState>& streams = partitioner_.streams();
+  for (size_t i = 0; i < streams.size(); ++i) {
+    snap->streams.push_back(checkpoint::SnapshotStream{
+        static_cast<StreamId>(i), streams[i].name, streams[i].clock,
+        streams[i].last_seq, streams[i].events});
   }
   for (const Partitioner::SplitInfo& split : partitioner_.Splits()) {
-    state.splits.push_back(CheckpointState::Split{
+    snap->splits.push_back(checkpoint::SnapshotSplit{
         split.stream, static_cast<int>(split.mode), split.key,
         split.secondary_attr});
+  }
+  for (const auto& [id, entry] : queries_) {
+    checkpoint::SnapshotQuery query;
+    query.id = id;
+    query.runtime_hosted = true;
+    query.options = entry.options;
+    query.text = entry.text;
+    snap->queries.push_back(std::move(query));
   }
 
   // Direct operator-state serialization: one payload per query per hosting
   // engine (a sharded query has a plan instance in every shard engine),
   // plus each engine's own counters. The workers are parked on their rings
   // after WaitIdle, so reading the engines here is race-free.
+  auto save_plan = [snap](const Worker& worker, QueryId id) -> Status {
+    auto payload = worker.engine->SerializeState(id);
+    if (!payload.ok()) return payload.status();
+    // Payloads embed whole event tables; move, don't double-buffer.
+    snap->engine_state.push_back(checkpoint::EngineStateSection{
+        "plan", worker.lane, id, 1, std::move(payload).value()});
+    return Status::Ok();
+  };
   for (const auto& [id, entry] : queries_) {
-    if (entry.sharded) {
-      for (int s = 0; s < config_.shard_count; ++s) {
-        auto payload =
-            workers_[static_cast<size_t>(s)]->engine->SerializeState(id);
-        if (!payload.ok()) return payload.status();
-        state.plan_states.push_back(
-            CheckpointState::PlanState{s, id, std::move(payload).value()});
-      }
-    } else {
-      auto payload = broadcast_worker().engine->SerializeState(id);
-      if (!payload.ok()) return payload.status();
-      state.plan_states.push_back(CheckpointState::PlanState{
-          broadcast_index(), id, std::move(payload).value()});
+    if (!entry.sharded) {
+      SASE_RETURN_IF_ERROR(save_plan(broadcast_worker(), id));
+      continue;
+    }
+    for (int s = 0; s < config_.shard_count; ++s) {
+      SASE_RETURN_IF_ERROR(save_plan(*workers_[static_cast<size_t>(s)], id));
     }
   }
   for (const auto& worker : workers_) {
-    state.plan_states.push_back(CheckpointState::PlanState{
-        worker->index, 0, worker->engine->SerializeEngineState()});
+    snap->engine_state.push_back(checkpoint::EngineStateSection{
+        "engine", worker->lane, 0, 1, worker->engine->SerializeEngineState()});
   }
-  return state;
+  return Status::Ok();
 }
 
-Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
+Status ShardedRuntime::RestoreCheckpoint(const checkpoint::SystemSnapshot& snap,
                                          const CallbackResolver& callbacks) {
   if (events_dispatched_ != 0 || !queries_.empty()) {
     return Status::FailedPrecondition(
         "RestoreCheckpoint requires a freshly constructed runtime");
   }
-  if (state.shard_count != config_.shard_count ||
-      state.partition_key != config_.partition_key) {
+  if (snap.streams.empty()) return Status::Ok();
+  if (snap.partition_key != config_.partition_key) {
+    return Status::InvalidArgument("runtime shape mismatch: checkpoint was "
+                                   "taken with partition key '" +
+                                   snap.partition_key + "'");
+  }
+  // Every captured worker wrote an engine-counter section, so a shard count
+  // at or past the section count is corrupt: refuse it before building that
+  // many engines.
+  if (snap.shard_count < 1 ||
+      static_cast<size_t>(snap.shard_count) >= snap.engine_state.size()) {
     return Status::InvalidArgument(
-        "runtime shape mismatch: checkpoint was taken at " +
-        std::to_string(state.shard_count) + " shards / key '" +
-        state.partition_key + "'");
+        "checkpoint names " + std::to_string(snap.shard_count) + " shards but "
+        "carries " + std::to_string(snap.engine_state.size()) +
+        " engine-state sections");
   }
 
-  // Park the worker threads; until the restart below, the engines are
-  // exclusively ours — the same exclusivity Resize establishes.
-  for (auto& worker : workers_) worker->queue.Close();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
+  // Lay the engines out at the captured shape: the payloads address its
+  // workers by lane. The runtime is fresh, so there is no state to move.
+  const int shard_count = config_.shard_count;
+  if (snap.shard_count != shard_count) {
+    RebuildShards(snap.shard_count,
+                  [this, &snap] { partitioner_.Resize(snap.shard_count); });
   }
 
   // Per-stream dispatch stamps first: all future routing reads them.
-  for (const CheckpointState::Stream& stream : state.streams) {
+  for (size_t i = 0; i < snap.streams.size(); ++i) {
+    const checkpoint::SnapshotStream& stream = snap.streams[i];
+    if (stream.id != static_cast<StreamId>(i)) {
+      return Status::InvalidArgument("snapshot stream ids are not dense");
+    }
     partitioner_.RestoreStream(stream.name, stream.clock, stream.last_seq,
                                stream.events);
   }
@@ -517,7 +536,7 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
   // Hot-key splits before any routing: a secondary-split key's
   // sub-partition state lives on the shard the (key, secondary) sub-hash
   // picks, so the recovered process must route identically from the start.
-  for (const CheckpointState::Split& split : state.splits) {
+  for (const checkpoint::SnapshotSplit& split : snap.splits) {
     if (split.stream >= partitioner_.streams().size()) {
       return Status::InvalidArgument(
           "hot-key split references unknown stream");
@@ -535,98 +554,45 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
   // Checkpointed queries in id (= registration) order, so shared-scan
   // groups form as they originally did; each plan's state is loaded
   // wholesale below, so registration position does not matter otherwise.
-  std::vector<const CheckpointState::Query*> queries;
-  queries.reserve(state.queries.size());
-  for (const CheckpointState::Query& query : state.queries) {
-    queries.push_back(&query);
+  // The workers idle on empty rings, so the engines are safe to touch, as
+  // in Register.
+  std::vector<const checkpoint::SnapshotQuery*> queries;
+  for (const checkpoint::SnapshotQuery& query : snap.queries) {
+    if (query.runtime_hosted) queries.push_back(&query);
   }
   std::sort(queries.begin(), queries.end(),
-            [](const CheckpointState::Query* a, const CheckpointState::Query* b) {
-              return a->id < b->id;
-            });
-  for (const CheckpointState::Query* query : queries) {
+            [](const checkpoint::SnapshotQuery* a,
+               const checkpoint::SnapshotQuery* b) { return a->id < b->id; });
+  for (const checkpoint::SnapshotQuery* query : queries) {
     auto entry = AnalyzeEntry(query->text,
                               callbacks ? callbacks(query->id) : nullptr,
                               query->options);
     if (!entry.ok()) return entry.status();
     SASE_RETURN_IF_ERROR(InstallQuery(query->id, std::move(entry).value()));
   }
-
-  // Load each hosting engine's serialized state wholesale: the restored
-  // engines hold exactly the stacks, negation buffers, parked deferrals and
-  // aggregate accumulators the checkpointed engines held at the quiesce
-  // point.
-  std::set<std::pair<int, QueryId>> restored;
-  for (const CheckpointState::PlanState& plan : state.plan_states) {
-    if (plan.worker < 0 ||
-        static_cast<size_t>(plan.worker) >= workers_.size()) {
-      return Status::InvalidArgument(
-          "engine-state payload references worker " +
-          std::to_string(plan.worker) + " of a " +
-          std::to_string(config_.shard_count) + "-shard runtime");
+  for (const auto& worker : workers_) {
+    bool shard = worker->index < config_.shard_count;
+    std::vector<QueryId> hosted;
+    for (const auto& [id, entry] : queries_) {
+      if (entry.sharded == shard) hosted.push_back(id);
     }
-    QueryEngine& engine = *workers_[static_cast<size_t>(plan.worker)]->engine;
-    Status loaded = plan.query == 0
-                        ? engine.RestoreEngineState(plan.data)
-                        : engine.RestoreState(plan.query, plan.data);
-    if (!loaded.ok()) {
-      return Status::InvalidArgument(
-          "cannot restore engine state of query #" +
-          std::to_string(plan.query) + " on worker " +
-          std::to_string(plan.worker) + ": " + loaded.ToString());
-    }
-    restored.emplace(plan.worker, plan.query);
-  }
-  // Completeness: every registered query must have received a payload on
-  // every engine hosting it. A payload silently missing (lost section,
-  // corrupted kind field) would otherwise restore the query with empty
-  // operator state — exactly the state loss checkpoints exist to prevent.
-  for (const auto& [id, entry] : queries_) {
-    if (entry.sharded) {
-      for (int s = 0; s < config_.shard_count; ++s) {
-        if (restored.count({s, id}) == 0) {
-          return Status::InvalidArgument(
-              "snapshot carries no engine-state payload for query #" +
-              std::to_string(id) + " on shard " + std::to_string(s));
-        }
-      }
-    } else if (restored.count({broadcast_index(), id}) == 0) {
-      return Status::InvalidArgument(
-          "snapshot carries no engine-state payload for query #" +
-          std::to_string(id) + " on the broadcast engine");
-    }
-  }
-  // Likewise each worker's engine-counter payload (query id 0): losing
-  // one would silently reset events_processed_ and break the stats
-  // continuity the checkpoint guarantees. Only enforced when the state
-  // carries runtime payloads at all — a snapshot taken by a runtime-less
-  // (serial-only) system legitimately has none.
-  if (!state.plan_states.empty()) {
-    for (const auto& worker : workers_) {
-      if (restored.count({worker->index, 0}) == 0) {
-        return Status::InvalidArgument(
-            "snapshot carries no engine-counter payload for worker " +
-            std::to_string(worker->index));
-      }
-    }
+    SASE_RETURN_IF_ERROR(checkpoint::LoadEngineSections(
+        snap, worker->lane, hosted, worker->engine.get()));
   }
 
-  // Continue the crashed process's dispatch clock so checkpointed positions
-  // compare directly with indices issued from here on.
-  events_dispatched_ = state.events_dispatched;
-  merger_.SeedDispatched(state.events_dispatched);
-  merger_.SeedMerged(state.records_merged);
-  any_routed_ = state.any_routed;
-  routed_stream_ = state.routed_stream;
-  multi_routed_ = state.multi_routed;
+  // Continue the crashed process's dispatch clock and merge ordinal so
+  // checkpointed positions compare directly with those issued from here on.
+  events_dispatched_ = snap.events_dispatched;
+  merger_.SeedDispatched(snap.events_dispatched);
+  merger_.SeedMerged(snap.delivered_runtime);
+  any_routed_ = snap.any_routed;
+  routed_stream_ = snap.routed_stream;
+  multi_routed_ = snap.multi_routed;
   last_check_global_ = events_dispatched_;
   hotkey_check_global_ = events_dispatched_;
 
-  for (auto& worker : workers_) worker->queue.Reopen();
-  for (auto& worker : workers_) {
-    worker->thread = std::thread(&ShardedRuntime::WorkerLoop, this, worker.get());
-  }
-  return Status::Ok();
+  // Back to the configured shape through the ordinary per-key hand-off.
+  return Resize(shard_count);
 }
 
 bool ShardedRuntime::IsSharded(QueryId id) const {

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "checkpoint/snapshot.h"
 #include "core/catalog.h"
 #include "core/stream.h"
 #include "engine/query_engine.h"
@@ -58,9 +59,7 @@ struct RuntimeConfig {
   /// incremental delivery: all output surfaces on OnFlush/WaitIdle.
   size_t merge_interval = 4096;
   /// Dead dispatch-log prefix entries a stream log accumulates before the
-  /// merger physically truncates it (amortizes the erase). SIZE_MAX disables
-  /// compaction — the log then grows with the stream, the pre-compaction
-  /// behavior kept for benchmarking the difference.
+  /// merger physically truncates it (amortizes the erase).
   size_t log_compact_min = 1024;
   /// Load-driven shard autoscaling (off by default); see
   /// runtime/elastic_policy.h for the thresholds and ShardedRuntime::Resize
@@ -204,80 +203,39 @@ class ShardedRuntime : public EventSink {
   /// like every other entry point.
   Status Resize(int shard_count);
 
-  /// Serialized-state view of the runtime at a quiesce point — what a
-  /// durable checkpoint persists and what a cross-process handoff would put
-  /// on the wire. The engines' operator state is serialized directly
-  /// (`plan_states`, one payload per query per hosting engine, via
-  /// QueryEngine::SerializeState), and RestoreCheckpoint loads it back.
-  struct CheckpointState {
-    /// One QueryEngine::SerializeState payload: the operator state of
-    /// query `query` on worker `worker` (shards 0..N-1, broadcast == N).
-    /// `query == 0` carries the worker engine's own counters
-    /// (QueryEngine::SerializeEngineState).
-    struct PlanState {
-      int worker = 0;
-      QueryId query = 0;
-      std::string data;
-    };
-    struct Query {
-      QueryId id = 0;
-      std::string text;
-      PlanOptions options;
-    };
-    struct Stream {
-      std::string name;
-      Timestamp clock = 0;
-      SequenceNumber last_seq = 0;
-      uint64_t events = 0;
-    };
-    /// One hot-key split-table entry (mode: Partitioner::SplitMode as int).
-    /// Splits must survive recovery: a secondary-split key's sub-partition
-    /// state lives on the shard its (key, secondary) sub-hash picks, so the
-    /// recovered process must route it identically.
-    struct Split {
-      StreamId stream = kDefaultStream;
-      int mode = 0;
-      Value key;
-      std::string secondary_attr;
-    };
-    int shard_count = 1;
-    std::string partition_key;
-    uint64_t events_dispatched = 0;
-    /// Merge ordinal at the quiesce point: seeds the OutputMerger's
-    /// delivery-cursor clock on restore so replayed records re-stamp with
-    /// their pre-crash positions.
-    uint64_t records_merged = 0;
-    bool any_routed = false;
-    StreamId routed_stream = kDefaultStream;
-    bool multi_routed = false;
-    std::vector<Query> queries;   // id (= registration) order
-    std::vector<Stream> streams;  // StreamId order
-    std::vector<PlanState> plan_states;
-    std::vector<Split> splits;  // (stream, key) order
-  };
-
-  /// Captures the runtime's checkpoint state at a quiesce point (WaitIdle:
-  /// every in-flight batch drained, all merge-safe output delivered),
-  /// including every hosting engine's serialized operator state. The only
-  /// refusal is kFailedPrecondition from inside a Resize (a callback fired
-  /// at the resize quiesce point — the layout is mid-change).
-  Result<CheckpointState> ExportCheckpoint();
+  /// Captures the runtime's part of a checkpoint into `snap` at a quiesce
+  /// point (WaitIdle: every in-flight batch drained, all merge-safe output
+  /// delivered): the shard count and partition key, the dispatch index and
+  /// merge ordinal (`delivered_runtime`), the routing flags, the per-stream
+  /// dispatch stamps, the hot-key split table, every query (as
+  /// `runtime_hosted`, in id order) and the engines' serialized operator
+  /// state — one "plan" section per query per hosting engine
+  /// (QueryEngine::SerializeState) plus one "engine" counter section per
+  /// worker, each named by the worker's lane ("shard-<i>", "broadcast").
+  /// The only refusal is kFailedPrecondition from inside a Resize (a
+  /// callback fired at the resize quiesce point — the layout is mid-change).
+  Status ExportCheckpoint(checkpoint::SystemSnapshot* snap);
 
   /// Maps a checkpointed QueryId to the output callback its restored query
   /// should deliver to (callbacks cannot be serialized).
   using CallbackResolver = std::function<OutputCallback(QueryId)>;
 
-  /// Rebuilds checkpointed state into this runtime (recovery bootstrap).
-  /// The runtime must be freshly constructed, with the same shard count and
-  /// partition key the state was captured under. Restores the per-stream
-  /// dispatch stamps and the hot-key split table, re-registers every query
-  /// under its id, and loads each hosting engine's serialized operator
-  /// state (QueryEngine::RestoreState): the engines resume holding exactly
-  /// the stacks, buffers, parked deferrals and aggregate accumulators the
-  /// checkpointed engines held. The global dispatch clock continues from
-  /// the checkpoint, so positions recorded before the crash stay comparable
-  /// with indices issued after recovery.
-  Status RestoreCheckpoint(const CheckpointState& state,
+  /// Rebuilds the runtime's part of `snap` into this freshly constructed
+  /// runtime (recovery bootstrap). The partition key must match the
+  /// snapshot's; the shard count need not. The engines are laid out at the
+  /// captured count first: the per-stream dispatch stamps and the hot-key
+  /// split table are restored before any routing, every runtime-hosted
+  /// query is re-registered under its id, and each hosting engine loads its
+  /// sections (checkpoint::LoadEngineSections), so it holds exactly the
+  /// stacks, buffers, parked deferrals and aggregate accumulators the
+  /// checkpointed engine held. A Resize back to this runtime's configured
+  /// count then hands each key's state to the shard that owns it, the same
+  /// hand-off as any resize (and counted as one). The global dispatch clock
+  /// and the merge ordinal continue from the checkpoint, so positions
+  /// recorded before the crash stay comparable with indices issued after
+  /// recovery. A snapshot without stream stamps was taken by a system
+  /// without a runtime and restores nothing.
+  Status RestoreCheckpoint(const checkpoint::SystemSnapshot& snap,
                            const CallbackResolver& callbacks);
 
   /// True while a Resize is mid-flight (only observable from callbacks
@@ -431,8 +389,9 @@ class ShardedRuntime : public EventSink {
     uint64_t arrival_counter = 0;  // guarded by out_mutex
 
     // Observability (set at MakeWorker, constant afterwards). The lane names
-    // the worker in trace dumps and metric labels ("shard-3", "broadcast");
-    // a carried-over broadcast worker keeps its lane across resizes.
+    // the worker in trace dumps, metric labels and checkpoint engine-state
+    // sections ("shard-3", "broadcast"); a carried-over broadcast worker
+    // keeps its lane across resizes.
     std::string lane;
     obs::HistogramMetric* ring_wait = nullptr;  // null = metrics off
   };
@@ -478,7 +437,7 @@ class ShardedRuntime : public EventSink {
                                   PlanOptions options);
   /// Registers `entry` under `id` into its hosting engines and applies all
   /// bookkeeping (counters, queries_ map). The workers must be quiescent
-  /// (WaitIdle) or parked (restore).
+  /// (WaitIdle, or a fresh runtime in restore).
   Status InstallQuery(QueryId id, QueryEntry entry);
   void WorkerLoop(Worker* worker);
   bool WorkerHostsQueries(const Worker& worker) const;
@@ -510,7 +469,8 @@ class ShardedRuntime : public EventSink {
   /// touch the engines.
   void DropQuery(std::map<QueryId, QueryEntry>::iterator it);
   /// The one way shard engines are rebuilt, behind Resize, secondary
-  /// hot-key splits and their undoing: quiesce, stop the workers, carry
+  /// hot-key splits and their undoing, and RestoreCheckpoint's layout at
+  /// the captured shard count: quiesce, stop the workers, carry
   /// the broadcast engine over, run `mutate` (the partitioner layout
   /// change) under health_mutex_, build fresh shard engines hosting every
   /// sharded query, hand the old engines' per-key state over under the new

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <set>
 #include <sstream>
 
 #include "checkpoint/journal.h"
@@ -11,7 +10,6 @@
 #include "query/analyzer.h"
 #include "query/parser.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace sase {
 namespace {
@@ -88,40 +86,6 @@ class RawEventArchiver : public EventSink {
   const Catalog* catalog_;
   db::Table* table_;
 };
-
-/// Hosting-engine name for a runtime worker in the snapshot's engine-state
-/// sections, and its inverse (recovery). The serial engine is "serial".
-std::string RuntimeHostName(int worker, int shard_count) {
-  return worker == shard_count ? "broadcast" : "shard-" + std::to_string(worker);
-}
-
-Result<int> RuntimeWorkerFromHost(const std::string& host, int shard_count) {
-  if (host == "broadcast") return shard_count;
-  if (StartsWith(host, "shard-")) {
-    auto shard = ParseU64(host.substr(6));
-    if (shard.ok() && shard.value() < static_cast<uint64_t>(shard_count)) {
-      return static_cast<int>(shard.value());
-    }
-  }
-  return Status::InvalidArgument(
-      "engine-state section names unknown host '" + host + "' for a " +
-      std::to_string(shard_count) + "-shard runtime");
-}
-
-/// Section triage shared by FinishRecovery's serial and runtime loops:
-/// false = skip it (unknown kinds are skippable by design), true = restore
-/// it; a known kind with a payload version newer than this reader supports
-/// is a hard error, not a skip.
-Result<bool> UsableEngineSection(const checkpoint::EngineStateSection& section) {
-  if (section.kind != "plan" && section.kind != "engine") return false;
-  if (section.version > 1) {
-    return Status::InvalidArgument(
-        "engine-state section for query #" + std::to_string(section.query) +
-        " uses payload version " + std::to_string(section.version) +
-        "; this reader supports up to 1");
-  }
-  return true;
-}
 
 /// /healthz wedge threshold: a worker whose queue holds batches while its
 /// progress counter has not advanced for this long is reported unhealthy.
@@ -285,9 +249,7 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
     runtime_config.partition_key = config_.partition_key;
     runtime_config.time_config = config_.time_config;
     runtime_config.merge_interval = config_.runtime_merge_interval;
-    runtime_config.log_compact_min = config_.runtime_log_compact_min;
     runtime_config.elastic = config_.runtime_elastic;
-    runtime_config.batch = config_.runtime_batch;
     runtime_config.scan_sharing = config_.scan_sharing;
     runtime_config.metrics = metrics_.get();
     runtime_config.tracer = &tracer_;
@@ -654,47 +616,17 @@ Status SaseSystem::Checkpoint(const std::string& dir_arg) {
   auto build_and_write = [&]() -> Status {
     checkpoint::SystemSnapshot snap;
     if (runtime_ != nullptr) {
-      auto exported = runtime_->ExportCheckpoint();  // quiesces; may refuse
-      if (!exported.ok()) return exported.status();
-      ShardedRuntime::CheckpointState& state = exported.value();
-      for (auto& plan : state.plan_states) {
-        // Payloads embed whole event tables; move, don't double-buffer.
-        snap.engine_state.push_back(checkpoint::EngineStateSection{
-            plan.query == 0 ? "engine" : "plan",
-            RuntimeHostName(plan.worker, state.shard_count), plan.query, 1,
-            std::move(plan.data)});
-      }
-      snap.shard_count = state.shard_count;
-      snap.partition_key = state.partition_key;
-      snap.events_dispatched = state.events_dispatched;
-      snap.any_routed = state.any_routed;
-      snap.routed_stream = state.routed_stream;
-      snap.multi_routed = state.multi_routed;
-      for (size_t i = 0; i < state.streams.size(); ++i) {
-        const auto& stream = state.streams[i];
-        snap.streams.push_back(checkpoint::SnapshotStream{
-            static_cast<StreamId>(i), stream.name, stream.clock,
-            stream.last_seq, stream.events});
-      }
-      for (const auto& query : state.queries) {
-        checkpoint::SnapshotQuery entry;
-        entry.id = query.id;
-        entry.runtime_hosted = true;
-        entry.options = query.options;
-        entry.text = query.text;
-        entry.name = "query-" + std::to_string(query.id);
+      // Quiesces; may refuse.
+      SASE_RETURN_IF_ERROR(runtime_->ExportCheckpoint(&snap));
+      for (checkpoint::SnapshotQuery& entry : snap.queries) {
+        entry.name = "query-" + std::to_string(entry.id);
         for (const QueryInfo& info : registry_) {
-          if (info.runtime_hosted && info.id == query.id) {
+          if (info.runtime_hosted && info.id == entry.id) {
             entry.name = info.name;
             entry.archiving = info.archiving;
             break;
           }
         }
-        snap.queries.push_back(std::move(entry));
-      }
-      for (const auto& split : state.splits) {
-        snap.splits.push_back(checkpoint::SnapshotSplit{
-            split.stream, split.mode, split.key, split.secondary_attr});
       }
     } else {
       snap.shard_count = std::max(1, config_.shard_count);
@@ -743,7 +675,8 @@ Status SaseSystem::Checkpoint(const std::string& dir_arg) {
       snap.catalog_types.push_back(
           catalog_.schema(static_cast<EventTypeId>(i)).name());
     }
-    snap.delivered_runtime = delivered_runtime_;
+    // The runtime class equals the runtime's merge ordinal, which the
+    // export above wrote.
     snap.delivered_serial = delivered_serial_;
     // The snapshot's ACKED line supersedes every journaled cursor record of
     // the epoch it closes — a pending (uncommitted) ack batch is covered
@@ -812,7 +745,6 @@ Result<std::unique_ptr<SaseSystem>> SaseSystem::Recover(
     snapshot = std::move(read).value();
     spec.epoch = manifest.value();
     spec.snapshot = &snapshot;
-    config.shard_count = snapshot.shard_count;
     config.partition_key = snapshot.partition_key;
   } else if (manifest.status().code() != StatusCode::kNotFound) {
     return manifest.status();
@@ -837,7 +769,7 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
                                   const CallbackFactory& callbacks) {
   recovered_ = true;
   epoch_ = spec.epoch;
-  checkpoint::SystemSnapshot* snap = spec.snapshot;
+  const checkpoint::SystemSnapshot* snap = spec.snapshot;
 
   if (snap != nullptr) {
     // Engine-state payloads and journal records reference event types by
@@ -865,6 +797,7 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
     // under their original ids. Their serialized operator state is loaded
     // right below, so registration position does not matter — the restored
     // plan carries exactly the construction history of the crashed one.
+    std::vector<QueryId> serial_queries;
     for (const checkpoint::SnapshotQuery& query : snap->queries) {
       if (query.runtime_hosted) continue;
       OutputCallback deliver;
@@ -878,103 +811,25 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
       auto id = engine_->RegisterAs(query.id, query.text, std::move(deliver),
                                     query.options);
       if (!id.ok()) return id.status();
+      serial_queries.push_back(query.id);
     }
-    std::set<QueryId> serial_restored;
-    bool serial_counters = false;
-    for (const checkpoint::EngineStateSection& section : snap->engine_state) {
-      if (section.host != "serial") continue;
-      SASE_ASSIGN_OR_RETURN(bool usable, UsableEngineSection(section));
-      if (!usable) continue;
-      Status loaded = section.kind == "engine"
-                          ? engine_->RestoreEngineState(section.payload)
-                          : engine_->RestoreState(section.query, section.payload);
-      if (!loaded.ok()) {
-        return Status::InvalidArgument(
-            "cannot restore serial-engine state of query #" +
-            std::to_string(section.query) + ": " + loaded.ToString());
-      }
-      if (section.kind == "plan") {
-        serial_restored.insert(section.query);
-      } else {
-        serial_counters = true;
-      }
-    }
-    // Completeness: a payload silently missing (lost section, corrupted
-    // kind field — the SECTION header rides outside the payload CRC) would
-    // restore the query with empty state, or reset the engine counters.
-    // Fail loudly instead.
-    for (const checkpoint::SnapshotQuery& query : snap->queries) {
-      if (query.runtime_hosted || serial_restored.count(query.id) > 0) {
-        continue;
-      }
-      return Status::InvalidArgument(
-          "snapshot carries no engine-state payload for serial query #" +
-          std::to_string(query.id));
-    }
-    if (!serial_counters) {
-      return Status::InvalidArgument(
-          "snapshot carries no engine-counter payload for the serial engine");
-    }
+    SASE_RETURN_IF_ERROR(checkpoint::LoadEngineSections(
+        *snap, "serial", serial_queries, engine_.get()));
 
-    // Runtime-hosted queries + engine state: the runtime re-registers them
-    // and loads each hosting engine's payloads.
-    ShardedRuntime::CheckpointState state;
-    state.shard_count = snap->shard_count;
-    state.partition_key = snap->partition_key;
-    state.events_dispatched = snap->events_dispatched;
-    // Every runtime-merged record goes through exactly one MakeDeliver, so
-    // the snapshot's runtime delivery counter is the merge ordinal to
-    // continue the cursor clock from.
-    state.records_merged = snap->delivered_runtime;
-    state.any_routed = snap->any_routed;
-    state.routed_stream = snap->routed_stream;
-    state.multi_routed = snap->multi_routed;
-    std::vector<checkpoint::SnapshotStream> streams = snap->streams;
-    std::sort(streams.begin(), streams.end(),
-              [](const checkpoint::SnapshotStream& a,
-                 const checkpoint::SnapshotStream& b) { return a.id < b.id; });
-    for (size_t i = 0; i < streams.size(); ++i) {
-      if (streams[i].id != static_cast<StreamId>(i)) {
-        return Status::InvalidArgument("snapshot stream ids are not dense");
-      }
-      state.streams.push_back(ShardedRuntime::CheckpointState::Stream{
-          streams[i].name, streams[i].clock, streams[i].last_seq,
-          streams[i].events});
-    }
-    for (const checkpoint::SnapshotQuery& query : snap->queries) {
-      if (!query.runtime_hosted) continue;
-      state.queries.push_back(ShardedRuntime::CheckpointState::Query{
-          query.id, query.text, query.options});
-    }
-    for (const checkpoint::SnapshotSplit& split : snap->splits) {
-      state.splits.push_back(ShardedRuntime::CheckpointState::Split{
-          split.stream, split.mode, split.key, split.secondary_attr});
-    }
-    for (checkpoint::EngineStateSection& section : snap->engine_state) {
-      if (section.host == "serial") continue;
-      SASE_ASSIGN_OR_RETURN(bool usable, UsableEngineSection(section));
-      if (!usable) continue;
-      auto worker = RuntimeWorkerFromHost(section.host, snap->shard_count);
-      if (!worker.ok()) return worker.status();
-      state.plan_states.push_back(ShardedRuntime::CheckpointState::PlanState{
-          worker.value(), section.query, std::move(section.payload)});
-    }
-    if (runtime_ != nullptr) {
-      auto resolver = [this, snap, &callbacks](QueryId id) -> OutputCallback {
-        for (const checkpoint::SnapshotQuery& query : snap->queries) {
-          if (query.runtime_hosted && query.id == id) {
-            return MakeDeliver(query.name,
-                               callbacks ? callbacks(query.name) : nullptr,
-                               /*runtime_hosted=*/true);
-          }
+    // Runtime-hosted queries + engine state, restored at the snapshot's
+    // shard count and resized to this system's. Recover always configures
+    // a checkpoint directory, so a runtime exists.
+    auto resolver = [this, snap, &callbacks](QueryId id) -> OutputCallback {
+      for (const checkpoint::SnapshotQuery& query : snap->queries) {
+        if (query.runtime_hosted && query.id == id) {
+          return MakeDeliver(query.name,
+                             callbacks ? callbacks(query.name) : nullptr,
+                             /*runtime_hosted=*/true);
         }
-        return MakeDeliver("query-" + std::to_string(id), nullptr, true);
-      };
-      SASE_RETURN_IF_ERROR(runtime_->RestoreCheckpoint(state, resolver));
-    } else if (!state.queries.empty()) {
-      return Status::Internal(
-          "snapshot holds runtime-hosted queries but no runtime exists");
-    }
+      }
+      return MakeDeliver("query-" + std::to_string(id), nullptr, true);
+    };
+    SASE_RETURN_IF_ERROR(runtime_->RestoreCheckpoint(*snap, resolver));
   }
 
   // Journal suffix: scan first (validates CRCs, finds the delivery marks),

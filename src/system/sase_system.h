@@ -50,9 +50,8 @@ struct SystemConfig {
   int shard_count = 1;
   std::string partition_key = "TagId";
   /// Runtime merge cadence (events between incremental merges + clock
-  /// broadcasts) and dispatch-log compaction threshold; see RuntimeConfig.
+  /// broadcasts); see RuntimeConfig.
   size_t runtime_merge_interval = 4096;
-  size_t runtime_log_compact_min = 1024;
   /// Load-driven shard autoscaling (`runtime_elastic.enabled = true` turns
   /// it on; requires shard_count >= 2 so a runtime exists). Thresholds,
   /// bounds and hysteresis: see ElasticConfig in runtime/elastic_policy.h
@@ -69,10 +68,6 @@ struct SystemConfig {
   bool hotkey_mitigation = false;
   int hotkey_split_threshold = 50;
   uint64_t hotkey_min_events = 4096;
-  /// Adaptive handoff batching for the runtime's cross-thread rings (grows
-  /// under load bounded by a latency target, shrinks when idle); see
-  /// BatchConfig in runtime/batch_policy.h and docs/operations.md.
-  BatchConfig runtime_batch;
   /// Compile structurally identical monitoring queries onto one shared NFA
   /// per engine (multi-query sharing; see engine/shared_scan.h). Applies to
   /// the runtime's worker engines AND the serial engine. Checkpoints taken
@@ -280,11 +275,14 @@ class SaseSystem {
   /// byte-identical output from the record where the crash cut it off. The
   /// recovered system keeps journaling into `dir`.
   ///
-  /// `config` supplies the non-checkpointed knobs (noise, tick length,
-  /// report echo...); the runtime shape (shard count, partition key) comes
-  /// from the snapshot. The simulator and cleaning pipeline restart fresh
-  /// from `layout` — recovery covers the event-processing layers, not
-  /// simulated device state.
+  /// `config` supplies every knob the snapshot does not carry (noise, tick
+  /// length, report echo...), the shard count included: the runtime
+  /// restores at the shard count the snapshot was captured at and then
+  /// resizes to `config.shard_count`, handing each key's operator state to
+  /// its new shard as any Resize does, so a crash does not pin the shape.
+  /// Only the partition key comes from the snapshot. The simulator and
+  /// cleaning pipeline restart fresh from `layout` — recovery covers the
+  /// event-processing layers, not simulated device state.
   static Result<std::unique_ptr<SaseSystem>> Recover(
       const std::string& dir, StoreLayout layout, SystemConfig config = {},
       CallbackFactory callbacks = nullptr);
@@ -353,9 +351,7 @@ class SaseSystem {
   struct RecoverySpec {
     std::string dir;
     uint64_t epoch = 0;  // snapshot id; 0 = journal-only (no snapshot yet)
-    /// Mutable: FinishRecovery moves the engine-state payloads out rather
-    /// than double-buffering them (they embed whole event tables).
-    checkpoint::SystemSnapshot* snapshot = nullptr;  // null at epoch 0
+    const checkpoint::SystemSnapshot* snapshot = nullptr;  // null at epoch 0
   };
 
   SaseSystem(StoreLayout layout, SystemConfig config,

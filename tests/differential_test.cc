@@ -6,8 +6,10 @@
 //   3. the sharded runtime at 8 shards,
 //   4. the sharded runtime resized 2 -> 8 -> 3 shards mid-stream (per-key
 //      operator state handed across both layout changes),
-//   5. a checkpointed SaseSystem killed mid-stream and recovered from disk
-//      (direct operator-state restore + journal suffix replay),
+//   5. a checkpointed 2-shard SaseSystem killed mid-stream and recovered
+//      from disk (direct operator-state restore + journal suffix replay) at
+//      2, 3 and 8 shards — the snapshot's shape, then resized, its per-key
+//      state handed to the shards that own it at the caller's count,
 //
 // and every execution must produce byte-identical output. Fixed seeds keep
 // CI deterministic; a failing case prints its seed and query texts so the
@@ -15,13 +17,17 @@
 //
 // The exactly-once mode adds a sixth way: a consumer-acked (AckMode::
 // kConsumer) SaseSystem killed inside the seeded emit-to-ack or
-// ack-to-fsync window (tests/query_gen.h AckPlan) at 1, 2 and 8 shards —
-// asserting the recovered process re-delivers nothing at or below the
-// durable acked cursor, re-deliveries carry their original stamps, and the
-// stamp-deduped output is byte-identical to the serial reference.
+// ack-to-fsync window (tests/query_gen.h AckPlan) at 1, 2 and 8 shards,
+// and at 2 shards recovered at 8 — asserting the recovered process
+// re-delivers nothing at or below the durable acked cursor, re-deliveries
+// carry their original stamps, and the stamp-deduped output is
+// byte-identical to the serial reference.
 //
 // Env knobs (the nightly `differential-slow` CI job turns them up):
 //   SASE_DIFF_CASES  override the seeded case count (default 50)
+//   SASE_DIFF_FIRST  first seed of the sweep (default 1); with
+//                    SASE_DIFF_CASES it splits a sweep into seed ranges
+//                    that run as separate processes
 //   SASE_DIFF_DIR    preserve failing cases' repro banner + checkpoint
 //                    directory under this path (uploaded as a CI artifact)
 
@@ -133,26 +139,53 @@ std::vector<std::string> RunResized(const Catalog& catalog,
   return lines;
 }
 
-/// Execution 5: checkpoint mid-stream, kill without flush, recover from
-/// disk, finish the stream. Checkpoint and crash offsets derive from the
-/// case seed.
-std::vector<std::string> RunCheckpointKillRecover(const GeneratedCase& c,
-                                                  int shards,
-                                                  const std::string& dir,
-                                                  bool sharing = false) {
+/// Recovers the crashed checkpoint directory `dir` at `shards` shards and
+/// finishes the stream from `crash_at`. Recovery runs on a copy, since a
+/// recovered system keeps journaling into its directory: one crash can be
+/// recovered at several shard counts, and `dir` stays as the crash left it.
+/// `lines` holds the pre-crash output and receives the recovered system's.
+void RecoverAndFinish(const GeneratedCase& c, const std::string& dir,
+                      SystemConfig config, int shards, size_t crash_at,
+                      std::vector<std::string>* lines) {
+  std::string copy = dir + "_at" + std::to_string(shards);
+  std::filesystem::remove_all(copy);
+  std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  config.shard_count = shards;
+  auto recovered = SaseSystem::Recover(
+      copy, StoreLayout::RetailDemo(), config,
+      [lines](const std::string& name) -> OutputCallback {
+        return Collector(lines,
+                         static_cast<size_t>(std::atoi(name.c_str() + 1)));
+      });
+  EXPECT_TRUE(recovered.ok()) << recovered.status().ToString() << "\n"
+                              << c.Describe();
+  if (!recovered.ok()) return;
+  SaseSystem& system = *recovered.value();
+  EXPECT_EQ(system.config().shard_count, shards);
+  EXPECT_EQ(system.runtime()->shard_count(), shards);
+  for (size_t i = crash_at; i < c.events.size(); ++i) {
+    system.event_bus().OnEvent(c.events[i]);
+  }
+  system.Flush();
+}
+
+/// Execution 5: checkpoint mid-stream, kill without flush, then recover the
+/// crash at each count in `recover_shards` and finish the stream; returns
+/// each recovery's full output by shard count. Checkpoint and crash offsets
+/// derive from the case seed. `config` carries the mode knobs; the shard
+/// count, merge cadence and checkpoint directory are set here.
+std::map<int, std::vector<std::string>> RunCheckpointKillRecover(
+    const GeneratedCase& c, SystemConfig config, int shards,
+    const std::vector<int>& recover_shards, const std::string& dir) {
   size_t n = c.events.size();
   size_t checkpoint_at = n / 4 + c.seed % (n / 4);      // [n/4, n/2)
   size_t crash_at = n / 2 + (c.seed / 7) % (n / 2 - 1); // [n/2, n-1)
 
   std::vector<std::string> lines;
-  SystemConfig config;
   config.noise = NoiseModel::Perfect();
   config.shard_count = shards;
   config.runtime_merge_interval = 64;
   config.checkpoint.dir = dir;
-  config.scan_sharing = sharing;  // recovery reuses the same config, so a
-  // sharing checkpoint is restored into sharing engines (the documented
-  // requirement — see docs/recovery.md)
   {
     SaseSystem system(StoreLayout::RetailDemo(), config);
     for (size_t q = 0; q < c.queries.size(); ++q) {
@@ -170,35 +203,41 @@ std::vector<std::string> RunCheckpointKillRecover(const GeneratedCase& c,
     }
     // Killed here: destroyed without a flush.
   }
-  auto recovered = SaseSystem::Recover(
-      dir, StoreLayout::RetailDemo(), config,
-      [&lines](const std::string& name) -> OutputCallback {
-        return Collector(&lines,
-                         static_cast<size_t>(std::atoi(name.c_str() + 1)));
-      });
-  EXPECT_TRUE(recovered.ok()) << recovered.status().ToString() << "\n"
-                              << c.Describe();
-  if (!recovered.ok()) return lines;
-  for (size_t i = crash_at; i < c.events.size(); ++i) {
-    recovered.value()->event_bus().OnEvent(c.events[i]);
+  std::map<int, std::vector<std::string>> outputs;
+  for (int count : recover_shards) {
+    outputs[count] = lines;
+    RecoverAndFinish(c, dir, config, count, crash_at, &outputs[count]);
   }
-  recovered.value()->Flush();
-  return lines;
+  return outputs;
+}
+
+/// The sweeps' kill-recover leg: `golden` must come out of every recovery.
+void ExpectRecoveriesMatch(const std::vector<std::string>& golden,
+                           const std::map<int, std::vector<std::string>>& runs,
+                           const std::string& what) {
+  for (const auto& [shards, lines] : runs) {
+    EXPECT_EQ(golden, lines) << what << " divergence recovered at " << shards
+                             << " shards";
+  }
 }
 
 /// CI sweep: >= 50 seeded cases, zero divergence tolerated. To reproduce
-/// one case locally, read the seed off the failure message and run with
-/// --gtest_filter=...Differential... after pinning kFirstSeed to it.
-constexpr uint64_t kFirstSeed = 1;
+/// one case locally, read the seed off the failure message and run the
+/// sweep with SASE_DIFF_FIRST=<seed> SASE_DIFF_CASES=1.
+constexpr uint64_t kDefaultFirstSeed = 1;
 constexpr uint64_t kDefaultCaseCount = 50;
 constexpr int64_t kEventsPerCase = 260;
 
-uint64_t CaseCount() {
-  const char* env = std::getenv("SASE_DIFF_CASES");
-  if (env == nullptr) return kDefaultCaseCount;
+/// Positive integer from environment variable `name`, or `fallback`.
+uint64_t EnvCount(const char* name, uint64_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
   uint64_t parsed = std::strtoull(env, nullptr, 10);
-  return parsed == 0 ? kDefaultCaseCount : parsed;
+  return parsed == 0 ? fallback : parsed;
 }
+
+uint64_t FirstSeed() { return EnvCount("SASE_DIFF_FIRST", kDefaultFirstSeed); }
+uint64_t CaseCount() { return EnvCount("SASE_DIFF_CASES", kDefaultCaseCount); }
 
 /// When SASE_DIFF_DIR is set, copies the failing case's reproduction
 /// banner and its on-disk checkpoint (journal segments + snapshot) there,
@@ -223,10 +262,11 @@ void PreserveFailureArtifacts(const GeneratedCase& c, int shards,
 
 TEST(DifferentialTest, SerialShardedAndRecoveredExecutionsAgree) {
   Catalog catalog = Catalog::RetailDemo();
+  const uint64_t first = FirstSeed();
   const uint64_t cases = CaseCount();
   uint64_t interesting = 0;  // cases whose reference produced any output
 
-  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + cases; ++seed) {
+  for (uint64_t seed = first; seed < first + cases; ++seed) {
     GeneratedCase c = testgen::GenerateCase(catalog, seed, kEventsPerCase);
     SCOPED_TRACE(c.Describe());
 
@@ -237,8 +277,9 @@ TEST(DifferentialTest, SerialShardedAndRecoveredExecutionsAgree) {
     EXPECT_EQ(golden, RunSharded(catalog, c, 2)) << "2-shard divergence";
     EXPECT_EQ(golden, RunSharded(catalog, c, 8)) << "8-shard divergence";
     EXPECT_EQ(golden, RunResized(catalog, c)) << "resize divergence";
-    EXPECT_EQ(golden, RunCheckpointKillRecover(c, /*shards=*/2, dir))
-        << "checkpoint-kill-recover divergence";
+    ExpectRecoveriesMatch(
+        golden, RunCheckpointKillRecover(c, {}, /*shards=*/2, {2, 3, 8}, dir),
+        "checkpoint-kill-recover");
     if (HasFatalFailure() || HasNonfatalFailure()) {
       PreserveFailureArtifacts(c, /*shards=*/2, dir);
       FAIL() << "differential divergence; reproduce with " << c.Describe();
@@ -257,11 +298,12 @@ TEST(DifferentialTest, SerialShardedAndRecoveredExecutionsAgree) {
 /// where groups never serve buffered matches would be vacuously green.
 TEST(DifferentialTest, SharedScanExecutionsMatchDedicatedPlans) {
   Catalog catalog = Catalog::RetailDemo();
+  const uint64_t first = FirstSeed();
   const uint64_t cases = CaseCount();
   uint64_t interesting = 0;
   uint64_t sharing_engaged = 0;  // cases whose serial sharing run had hits
 
-  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + cases; ++seed) {
+  for (uint64_t seed = first; seed < first + cases; ++seed) {
     GeneratedCase c = testgen::GenerateSharingCase(catalog, seed,
                                                    kEventsPerCase);
     SCOPED_TRACE(c.Describe());
@@ -280,9 +322,13 @@ TEST(DifferentialTest, SharedScanExecutionsMatchDedicatedPlans) {
         << "8-shard sharing divergence";
     EXPECT_EQ(golden, RunResized(catalog, c, /*sharing=*/true))
         << "resized sharing divergence";
-    EXPECT_EQ(golden,
-              RunCheckpointKillRecover(c, /*shards=*/2, dir, /*sharing=*/true))
-        << "sharing checkpoint-kill-recover divergence";
+    // Recovery reuses the same config, so a sharing checkpoint is restored
+    // into sharing engines (the documented requirement, docs/recovery.md).
+    SystemConfig sharing;
+    sharing.scan_sharing = true;
+    ExpectRecoveriesMatch(
+        golden, RunCheckpointKillRecover(c, sharing, /*shards=*/2, {2, 3}, dir),
+        "sharing checkpoint-kill-recover");
     if (HasFatalFailure() || HasNonfatalFailure()) {
       PreserveFailureArtifacts(c, /*shards=*/2, dir);
       FAIL() << "sharing divergence; reproduce with " << c.Describe();
@@ -333,87 +379,34 @@ std::vector<std::string> RunShardedSkewed(const Catalog& catalog,
   return lines;
 }
 
-/// Skew-mode checkpoint-kill-recover: mitigation on, so the split table the
-/// pre-crash process installed rides the snapshot (SPLIT lines) and the
-/// recovered process re-routes split keys identically. `snapshot_had_splits`
-/// reports whether the snapshot the recovery actually read carried any
+/// Whether the snapshot a recovery from `dir` reads carries any hot-key
 /// split-table entries.
-std::vector<std::string> RunSkewedKillRecover(const GeneratedCase& c,
-                                              int shards,
-                                              const std::string& dir,
-                                              bool* snapshot_had_splits) {
-  size_t n = c.events.size();
-  size_t checkpoint_at = n / 4 + c.seed % (n / 4);      // [n/4, n/2)
-  size_t crash_at = n / 2 + (c.seed / 7) % (n / 2 - 1); // [n/2, n-1)
-
-  std::vector<std::string> lines;
-  SystemConfig config;
-  config.noise = NoiseModel::Perfect();
-  config.shard_count = shards;
-  config.runtime_merge_interval = 64;
-  config.checkpoint.dir = dir;
-  config.hotkey_mitigation = true;
-  config.hotkey_min_events = 64;
-  config.hotkey_split_threshold = 50;
-  {
-    SaseSystem system(StoreLayout::RetailDemo(), config);
-    for (size_t q = 0; q < c.queries.size(); ++q) {
-      auto id = system.RegisterMonitoringQuery("q" + std::to_string(q),
-                                               c.queries[q],
-                                               Collector(&lines, q));
-      EXPECT_TRUE(id.ok()) << id.status().ToString() << "\n" << c.Describe();
-    }
-    for (size_t i = 0; i < crash_at; ++i) {
-      if (i == checkpoint_at) {
-        Status taken = system.Checkpoint();
-        EXPECT_TRUE(taken.ok()) << taken.ToString() << "\n" << c.Describe();
-      }
-      system.event_bus().OnEvent(c.events[i]);
-    }
-    // Killed here: destroyed without a flush.
-  }
-  if (snapshot_had_splits != nullptr) {
-    *snapshot_had_splits = false;
-    auto manifest = checkpoint::ReadManifest(dir);
-    EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
-    if (manifest.ok()) {
-      auto snap = checkpoint::ReadSnapshot(dir, manifest.value(), nullptr);
-      EXPECT_TRUE(snap.ok()) << snap.status().ToString();
-      if (snap.ok()) *snapshot_had_splits = !snap.value().splits.empty();
-    }
-  }
-  auto recovered = SaseSystem::Recover(
-      dir, StoreLayout::RetailDemo(), config,
-      [&lines](const std::string& name) -> OutputCallback {
-        return Collector(&lines,
-                         static_cast<size_t>(std::atoi(name.c_str() + 1)));
-      });
-  EXPECT_TRUE(recovered.ok()) << recovered.status().ToString() << "\n"
-                              << c.Describe();
-  if (!recovered.ok()) return lines;
-  for (size_t i = crash_at; i < c.events.size(); ++i) {
-    recovered.value()->event_bus().OnEvent(c.events[i]);
-  }
-  recovered.value()->Flush();
-  return lines;
+bool SnapshotHasSplits(const std::string& dir) {
+  auto manifest = checkpoint::ReadManifest(dir);
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  if (!manifest.ok()) return false;
+  auto snap = checkpoint::ReadSnapshot(dir, manifest.value(), nullptr);
+  EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+  return snap.ok() && !snap.value().splits.empty();
 }
 
 /// Skewed-stream mitigation sweep: a 90%-hot key over the three mitigation
 /// families (tests/query_gen.h GenerateSkewedCase) at 1, 2 and 8 shards —
 /// mitigation on, mitigation off, a mitigated 2 -> 3 shard resize and a
-/// mitigated checkpoint-kill-recover leg — every execution byte-identical
-/// to the serial reference. The
+/// mitigated 2-shard checkpoint-kill-recover leg recovered at 2 and at 3
+/// shards — every execution byte-identical to the serial reference. The
 /// engagement counters prove the sweep exercised real splits (and
 /// checkpointed them), not 50 cases of never-triggered mitigation.
 TEST(DifferentialTest, HotKeyMitigationStaysByteIdentical) {
   Catalog catalog = Catalog::RetailDemo();
+  const uint64_t first = FirstSeed();
   const uint64_t cases = CaseCount();
   uint64_t interesting = 0;
   uint64_t engaged = 0;             // mitigated runs with an active split
   uint64_t secondary_engaged = 0;   // mitigated runs that handed state off
   uint64_t checkpointed_splits = 0; // snapshots carrying a split table
 
-  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + cases; ++seed) {
+  for (uint64_t seed = first; seed < first + cases; ++seed) {
     GeneratedCase c =
         testgen::GenerateSkewedCase(catalog, seed, kEventsPerCase,
                                     /*hot_percent=*/90);
@@ -443,11 +436,18 @@ TEST(DifferentialTest, HotKeyMitigationStaysByteIdentical) {
                                        /*resize_to=*/3))
         << "mitigated 2->3 resize divergence";
 
-    bool had_splits = false;
+    // Mitigation on, so the split table the pre-crash process installed
+    // rides the snapshot (SPLIT lines) and the recovered process re-routes
+    // split keys identically, at the snapshot's shape and resized.
+    SystemConfig mitigated;
+    mitigated.hotkey_mitigation = true;
+    mitigated.hotkey_min_events = 64;
+    mitigated.hotkey_split_threshold = 50;
     std::string dir = FreshDir("skew_" + std::to_string(seed));
-    EXPECT_EQ(golden, RunSkewedKillRecover(c, /*shards=*/2, dir, &had_splits))
-        << "mitigated checkpoint-kill-recover divergence";
-    if (had_splits) ++checkpointed_splits;
+    ExpectRecoveriesMatch(
+        golden, RunCheckpointKillRecover(c, mitigated, /*shards=*/2, {2, 3}, dir),
+        "mitigated checkpoint-kill-recover");
+    if (SnapshotHasSplits(dir)) ++checkpointed_splits;
 
     if (HasFatalFailure() || HasNonfatalFailure()) {
       PreserveFailureArtifacts(c, /*shards=*/2, dir);
@@ -493,10 +493,10 @@ struct AckRunResult {
 /// Execution 5: consumer-acked exactly-once mode. The simulated consumer
 /// acks per the case's AckPlan, the process is killed mid-stream without a
 /// flush (in-memory acks and the pending group-commit batch die with it),
-/// and the recovered process finishes the stream against the same
-/// consumer's dedup state.
+/// and the process recovered at `recover_shards` shards finishes the
+/// stream against the same consumer's dedup state.
 AckRunResult RunAckCrashRecover(const GeneratedCase& c, int shards,
-                                const std::string& dir) {
+                                int recover_shards, const std::string& dir) {
   size_t n = c.events.size();
   size_t checkpoint_at = n / 4 + c.seed % (n / 4);       // [n/4, n/2)
   size_t crash_at = n / 2 + (c.seed / 7) % (n / 2 - 1);  // [n/2, n-1)
@@ -605,6 +605,7 @@ AckRunResult RunAckCrashRecover(const GeneratedCase& c, int shards,
   }
 
   after_kill = true;
+  config.shard_count = recover_shards;
   auto recovered = SaseSystem::Recover(
       dir, StoreLayout::RetailDemo(), config,
       [&consumer](const std::string& name) -> OutputCallback {
@@ -613,6 +614,8 @@ AckRunResult RunAckCrashRecover(const GeneratedCase& c, int shards,
   EXPECT_TRUE(recovered.ok()) << recovered.status().ToString() << "\n"
                               << c.Describe();
   if (!recovered.ok()) return result;
+  EXPECT_EQ(recovered.value()->config().shard_count, recover_shards);
+  EXPECT_EQ(recovered.value()->runtime()->shard_count(), recover_shards);
   result.recovered_runtime = recovered.value()->acked_runtime();
   result.recovered_serial = recovered.value()->acked_serial();
   ack_target = recovered.value().get();
@@ -626,18 +629,24 @@ AckRunResult RunAckCrashRecover(const GeneratedCase& c, int shards,
 
 TEST(DifferentialTest, ExactlyOnceAckedCursorSurvivesCrashWindows) {
   Catalog catalog = Catalog::RetailDemo();
+  const uint64_t first = FirstSeed();
   const uint64_t cases = CaseCount();
   uint64_t redelivering = 0;  // executions that actually re-delivered
 
-  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + cases; ++seed) {
+  for (uint64_t seed = first; seed < first + cases; ++seed) {
     GeneratedCase c = testgen::GenerateCase(catalog, seed, kEventsPerCase);
     SCOPED_TRACE(c.Describe());
     auto golden = RunSerial(catalog, c);
 
-    for (int shards : {1, 2, 8}) {
-      std::string dir = FreshDir("ack_" + std::to_string(seed) + "_" +
-                                 std::to_string(shards));
-      AckRunResult run = RunAckCrashRecover(c, shards, dir);
+    // (crash shape, recovery shape): 2 -> 8 reshapes on recovery.
+    for (auto [shards, recover_shards] :
+         {std::pair{1, 1}, std::pair{2, 2}, std::pair{8, 8}, std::pair{2, 8}}) {
+      std::string dir =
+          FreshDir("ack_" + std::to_string(seed) + "_" +
+                   std::to_string(shards) + "_" + std::to_string(recover_shards));
+      SCOPED_TRACE(std::to_string(shards) + "-shard crash recovered at " +
+                   std::to_string(recover_shards) + " shards");
+      AckRunResult run = RunAckCrashRecover(c, shards, recover_shards, dir);
 
       // Every delivery carries a stamp, and a re-delivered stamp always
       // carries the original record bytes.

@@ -635,6 +635,165 @@ TEST(SnapshotCompatTest, CorruptEngineStateSectionFailsRecoveryCleanly) {
   EXPECT_TRUE(lines.empty()) << "partial restore delivered output";
 }
 
+/// Rewrites snapshot `id`'s engine.sase in `dir` without the section whose
+/// header line starts with `header`, as a lost section would leave it.
+/// Returns false when no such section exists.
+bool DropEngineSection(const std::string& dir, uint64_t id,
+                       const std::string& header) {
+  std::string path = dir + "/snap-" + std::to_string(id) + "/engine.sase";
+  std::string contents;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    contents = buffer.str();
+  }
+  size_t start = contents.find("\n" + header);
+  if (start == std::string::npos) return false;
+  ++start;  // keep the previous line's newline
+  size_t eol = contents.find('\n', start);
+  if (eol == std::string::npos) return false;
+  // SECTION <kind>|<host>|<query>|<version>|<payload-bytes>|<crc32>
+  std::vector<std::string> fields;
+  std::stringstream line(contents.substr(start, eol - start));
+  for (std::string field; std::getline(line, field, '|');) {
+    fields.push_back(field);
+  }
+  if (fields.size() != 6) return false;
+  size_t payload = std::stoul(fields[4]);
+  contents.erase(start, eol + 1 + payload + 1 - start);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << contents;
+  return out.good();
+}
+
+/// Checkpoints kQueries at 2 shards after 300 events and crashes at 350;
+/// the snapshot is snap-1 in `dir`.
+void CheckpointAndCrash(const std::string& dir) {
+  Catalog catalog = Catalog::RetailDemo();
+  std::vector<std::string> ignored;
+  RunUntilCrash(Trace(catalog, 400), AllUpfront(),
+                CheckpointedConfig(/*shards=*/2, dir), /*checkpoint_at=*/300,
+                /*crash_at=*/350, &ignored);
+}
+
+TEST(RecoveryCompletenessTest, MissingShardPlanSectionFailsNamingQueryAndHost) {
+  std::string dir = FreshDir("missing_plan_section");
+  CheckpointAndCrash(dir);
+  // Query #1 (kQueries[0]) is key-partitioned: every shard holds a plan
+  // section for it. Losing shard 1's would restore its keys empty.
+  ASSERT_TRUE(DropEngineSection(dir, 1, "SECTION plan|shard-1|1|"));
+
+  std::vector<std::string> lines;
+  auto recovered = SaseSystem::Recover(dir, StoreLayout::RetailDemo(),
+                                       CheckpointedConfig(2, dir),
+                                       Factory(&lines));
+  ASSERT_FALSE(recovered.ok()) << "recovered with a plan section missing";
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(recovered.status().message().find("query #1"), std::string::npos)
+      << recovered.status().ToString();
+  EXPECT_NE(recovered.status().message().find("'shard-1'"), std::string::npos)
+      << recovered.status().ToString();
+  EXPECT_TRUE(lines.empty()) << "partial restore delivered output";
+}
+
+TEST(RecoveryCompletenessTest, MissingSerialEngineSectionFailsNamingHost) {
+  std::string dir = FreshDir("missing_engine_section");
+  CheckpointAndCrash(dir);
+  // Losing the serial engine's counter section would silently reset its
+  // stats; the same loader that checks every runtime worker refuses it.
+  ASSERT_TRUE(DropEngineSection(dir, 1, "SECTION engine|serial|0|"));
+
+  std::vector<std::string> lines;
+  auto recovered = SaseSystem::Recover(dir, StoreLayout::RetailDemo(),
+                                       CheckpointedConfig(2, dir),
+                                       Factory(&lines));
+  ASSERT_FALSE(recovered.ok()) << "recovered with the counter section missing";
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(recovered.status().message().find("engine-counter"),
+            std::string::npos)
+      << recovered.status().ToString();
+  EXPECT_NE(recovered.status().message().find("'serial'"), std::string::npos)
+      << recovered.status().ToString();
+  EXPECT_TRUE(lines.empty()) << "partial restore delivered output";
+}
+
+TEST(RecoveryCompletenessTest, ImpossibleShardCountIsRefusedBeforeLayout) {
+  // Recovery lays the engines out at the snapshot's SHARDS count before it
+  // resizes; a corrupt count must be refused before any engine or worker
+  // thread is built for it.
+  for (const char* shards : {"0", "1000000"}) {
+    SCOPED_TRACE(shards);
+    std::string dir = FreshDir("bad_shard_count");
+    CheckpointAndCrash(dir);
+    std::string path = dir + "/snap-1/state.sase";
+    std::string contents;
+    {
+      std::ifstream in(path);
+      std::ostringstream buffer;
+      buffer << in.rdbuf();
+      contents = buffer.str();
+    }
+    size_t line = contents.find("\nSHARDS 2\n");
+    ASSERT_NE(line, std::string::npos);
+    contents.replace(line, 10, std::string("\nSHARDS ") + shards + "\n");
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << contents;
+    }
+    auto recovered = SaseSystem::Recover(dir, StoreLayout::RetailDemo(),
+                                         CheckpointedConfig(2, dir));
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(recovered.status().message().find("shards"), std::string::npos)
+        << recovered.status().ToString();
+  }
+}
+
+TEST(RecoveryReshapeTest, CheckpointAfterGrowRecoversAtTheConfiguredCount) {
+  // The crashed process grew 2 -> 5 shards before its checkpoint; the
+  // recovering config asks for 2. Recovery restores the 5-shard payloads,
+  // then hands every key's state back to its 2-shard owner.
+  Catalog catalog = Catalog::RetailDemo();
+  auto trace = Trace(catalog, 800);
+  auto golden = RunGolden(catalog, trace, AllUpfront());
+  std::string dir = FreshDir("reshape_on_recovery");
+  SystemConfig config = CheckpointedConfig(/*shards=*/2, dir);
+  std::vector<std::string> lines;
+  {
+    SaseSystem system(StoreLayout::RetailDemo(), config);
+    for (size_t q = 0; q < kQueries.size(); ++q) {
+      ASSERT_TRUE(system
+                      .RegisterMonitoringQuery(QueryName(q), kQueries[q],
+                                               Collector(&lines, q))
+                      .ok());
+    }
+    for (size_t i = 0; i < 550; ++i) {
+      if (i == 200) ASSERT_TRUE(system.runtime()->Resize(5).ok());
+      if (i == 400) ASSERT_TRUE(system.Checkpoint().ok());
+      system.event_bus().OnEvent(trace[i]);
+    }
+    // Crash without Flush.
+  }
+  auto manifest = checkpoint::ReadManifest(dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  auto snap = checkpoint::ReadSnapshot(dir, manifest.value(), nullptr);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap.value().shard_count, 5);
+
+  auto recovered = SaseSystem::Recover(dir, StoreLayout::RetailDemo(), config,
+                                       Factory(&lines));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  SaseSystem& system = *recovered.value();
+  EXPECT_EQ(system.config().shard_count, 2);
+  EXPECT_EQ(system.runtime()->shard_count(), 2);
+  for (size_t i = 550; i < trace.size(); ++i) {
+    system.event_bus().OnEvent(trace[i]);
+  }
+  system.Flush();
+  EXPECT_EQ(golden, lines);
+}
+
 TEST(RecoveryV2Test, CrashOnJournalSegmentRotationBoundaryWithFsyncAlways) {
   Catalog catalog = Catalog::RetailDemo();
   auto trace = Trace(catalog, 900);

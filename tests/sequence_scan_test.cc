@@ -199,6 +199,30 @@ TEST_F(SequenceScanTest, SingleStatePatternsKeepNoInstances) {
   }
 }
 
+TEST_F(SequenceScanTest, FilterRejectedEventsTouchNoPartition) {
+  // The first edge's pushed filter rejects every SHELF_READING, so no event
+  // reaches a stack, and none may create a value partition either — not
+  // even an empty shell for the periodic sweep to erase later.
+  StreamBuilder stream(&catalog_);
+  for (int i = 0; i < 200; ++i) {
+    stream.Add("SHELF_READING", i, "T" + std::to_string(i % 20), i % 5);
+  }
+  QueryEngine engine(&catalog_);
+  size_t outputs = 0;
+  auto id = engine.Register(
+      "EVENT SEQ(SHELF_READING x, EXIT_READING z) "
+      "WHERE x.TagId = z.TagId AND x.AreaId = 7 WITHIN 10",
+      [&](const OutputRecord&) { ++outputs; });
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  for (const auto& event : stream.events()) engine.OnEvent(event);
+  const SequenceScan& scan = engine.plan(id.value())->sequence_scan();
+  EXPECT_EQ(scan.stats().events_seen, 200u);
+  EXPECT_EQ(scan.stats().partitions_created, 0u);
+  EXPECT_EQ(scan.StateFootprint().partitions, 0u);
+  engine.OnFlush();
+  EXPECT_EQ(outputs, 0u);
+}
+
 TEST_F(SequenceScanTest, StacksPrunedUnderWindow) {
   // Direct operator-level check of the window pushdown: instances older
   // than (now - W) are discarded.
