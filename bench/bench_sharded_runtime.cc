@@ -140,8 +140,9 @@ BENCHMARK(BM_DispatchOverhead)
 
 /// Long-stream memory bound: the dispatch log once grew 16 B/event forever;
 /// prefix compaction below the merge watermark keeps it at O(in-flight
-/// window), so the peak_log counter stays at a few merge intervals instead
-/// of ~kLongStreamEvents entries.
+/// window), so the peak_log counter stays at the rounds the rings can hold
+/// (at most queue_capacity + 1 per worker) instead of ~kLongStreamEvents
+/// entries.
 void BM_LongStreamDispatchLog(benchmark::State& state) {
   constexpr int64_t kLongStreamEvents = 200000;
   SyntheticConfig stream_config;

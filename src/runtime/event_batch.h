@@ -27,11 +27,11 @@ struct EventBatch {
 
   std::vector<EventPtr> events;
 
-  /// Per-stream clock broadcast: after processing `events` the worker
-  /// advances each listed stream's negation watermark to the given
-  /// timestamp, releasing deferred tail-negation matches even on shards
-  /// whose partitions went quiet (their own events would otherwise be the
-  /// only clock). Empty = no clock update.
+  /// Per-stream clocks: after processing `events` the worker advances each
+  /// listed stream's negation watermark to the given timestamp, releasing
+  /// deferred tail-negation matches even on shards whose partitions went
+  /// quiet (their own events would otherwise be the only clock). Empty = no
+  /// clock update.
   std::vector<std::pair<std::string, Timestamp>> clocks;
 
   /// Global dispatch index this batch certifies fully processed: once the

@@ -19,22 +19,15 @@ ShardedRuntime::ShardedRuntime(const Catalog* catalog, RuntimeConfig config,
       partitioner_(catalog, config_.partition_key,
                    std::max(1, config_.shard_count)),
       merger_(config_.log_compact_min), policy_(config.elastic),
-      batch_policy_(config.batch,
-                    config.batch_size == 0 ? 1 : config.batch_size),
       engine_init_(std::move(engine_init)) {
   config_.shard_count = std::max(1, config_.shard_count);
-  if (config_.batch_size == 0) config_.batch_size = 1;
+  config_.merge_interval = std::max<size_t>(1, config_.merge_interval);
   stream_queries_.resize(partitioner_.streams().size());
   last_check_time_ = std::chrono::steady_clock::now();
-  batch_check_time_ = last_check_time_;
   obs_stamp_ = config_.metrics != nullptr || config_.tracer != nullptr;
   if (config_.metrics != nullptr) {
     dispatch_merge_latency_ =
         config_.metrics->GetHistogram("sase_runtime_dispatch_merge_latency_ns");
-    if (config_.batch.enabled) {
-      batch_size_hist_ =
-          config_.metrics->GetHistogram("sase_runtime_batch_size");
-    }
   }
   // Hot-key accounting rides the metrics switch — without a registry the
   // dispatch path keeps its null-branch-only overhead contract — unless
@@ -313,7 +306,7 @@ void ShardedRuntime::RebuildShards(int shard_count,
                                    const std::function<void()>& mutate) {
   resizing_ = true;
 
-  // Quiesce: drain every batch, broadcast clocks, deliver everything
+  // Quiesce: drain every batch, clock every worker, deliver everything
   // merge-safe. After this the merger buffers no undelivered records (every
   // emitted record's trigger is at or below the dispatch point), so the
   // only state to carry across the rebuild lives in the engines.
@@ -623,9 +616,6 @@ void ShardedRuntime::AppendToWorker(Worker* worker, const std::string& stream,
         trace_id, worker->pending.events.size() - 1, global});
   }
   worker->pending_last_global = global;
-  if (worker->pending.events.size() >= batch_policy_.current()) {
-    FlushBatch(worker, nullptr, /*flush=*/false);
-  }
 }
 
 void ShardedRuntime::FlushBatch(Worker* worker, const Clocks* clocks,
@@ -723,21 +713,18 @@ void ShardedRuntime::Dispatch(StreamId stream, const std::string& name,
     open_traces_.push_back(OpenTrace{global, trace_id, now});
   }
 
-  if (config_.merge_interval > 0 &&
-      events_dispatched_ % config_.merge_interval == 0) {
-    // Broadcast every stream's clock so quiet shards release tail-negation
-    // deferrals, then surface whatever is safely ordered and compact the
-    // dispatch log underneath it.
+  if (events_dispatched_ % config_.merge_interval == 0) {
+    // End of a round: one batch per hosting worker, then surface whatever
+    // the acknowledged claims certify and compact the dispatch log under it.
     if (dispatch_merge_latency_ != nullptr) {
       merge_marks_.push_back(
           MergeMark{events_dispatched_, obs::MonotonicNs()});
     }
-    BroadcastClocks();
+    PushRound(/*clock_busy=*/false);
     DeliverReady();
   }
   if (config_.hotkey_mitigation) MaybeMitigateHotKeys();
   if (config_.elastic.enabled) MaybeAutoResize();
-  if (config_.batch.enabled) MaybeAdaptBatch();
 }
 
 void ShardedRuntime::MaybeMitigateHotKeys() {
@@ -885,27 +872,6 @@ void ShardedRuntime::ResolveSplitConflicts(const QueryEntry& entry) {
   }
 }
 
-void ShardedRuntime::MaybeAdaptBatch() {
-  const BatchConfig& batch = batch_policy_.config();
-  if (events_dispatched_ - batch_check_global_ < batch.check_interval) {
-    return;
-  }
-  auto now = std::chrono::steady_clock::now();
-  double seconds =
-      std::chrono::duration<double>(now - batch_check_time_).count();
-  double rate = 0;
-  if (seconds > 0) {
-    rate = static_cast<double>(events_dispatched_ - batch_check_global_) /
-           seconds;
-  }
-  batch_check_global_ = events_dispatched_;
-  batch_check_time_ = now;
-  size_t chosen = batch_policy_.Update(rate);
-  if (batch_size_hist_ != nullptr) {
-    batch_size_hist_->Record(static_cast<int64_t>(chosen));
-  }
-}
-
 ShardedRuntime::Clocks ShardedRuntime::CurrentClocks() const {
   Clocks clocks;
   for (const Partitioner::StreamState& state : partitioner_.streams()) {
@@ -914,11 +880,16 @@ ShardedRuntime::Clocks ShardedRuntime::CurrentClocks() const {
   return clocks;
 }
 
-void ShardedRuntime::BroadcastClocks() {
+void ShardedRuntime::PushRound(bool clock_busy) {
   Clocks clocks = CurrentClocks();
-  if (clocks.empty()) return;
   for (auto& worker : workers_) {
-    if (WorkerHostsQueries(*worker)) {
+    if (!WorkerHostsQueries(*worker)) continue;
+    if (!clock_busy && !worker->pending.events.empty()) {
+      // A busy worker's own events are its clock. Stream clocks would run
+      // OnWatermark over every plan — a sweep of all scan partitions and
+      // negation keys — on the workers with the most to do.
+      FlushBatch(worker.get(), nullptr, /*flush=*/false);
+    } else if (!clocks.empty()) {
       FlushBatch(worker.get(), &clocks, /*flush=*/false);
     }
   }
@@ -938,10 +909,7 @@ void ShardedRuntime::WaitDrained(Worker* worker) {
 }
 
 void ShardedRuntime::WaitIdle() {
-  BroadcastClocks();
-  for (auto& worker : workers_) {
-    FlushBatch(worker.get(), nullptr, /*flush=*/false);
-  }
+  PushRound(/*clock_busy=*/true);
   for (auto& worker : workers_) WaitDrained(worker.get());
   // With every queue drained, all emitted records are buffered here and any
   // future record triggers strictly later in dispatch order, so everything
@@ -1204,8 +1172,6 @@ void ShardedRuntime::ScrapeMetrics() {
       ->Set(static_cast<int64_t>(merger_.pending_count()));
   metrics->GetGauge("sase_runtime_dispatch_log_len")
       ->Set(static_cast<int64_t>(merger_.log_len()));
-  metrics->GetGauge("sase_runtime_current_batch")
-      ->Set(static_cast<int64_t>(batch_policy_.current()));
 
   std::vector<uint64_t> per_shard(static_cast<size_t>(config_.shard_count), 0);
   for (const Partitioner::StreamState& state : partitioner_.streams()) {

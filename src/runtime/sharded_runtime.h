@@ -21,7 +21,6 @@
 #include "engine/query_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/batch_policy.h"
 #include "runtime/elastic_policy.h"
 #include "runtime/event_batch.h"
 #include "runtime/output_merger.h"
@@ -38,14 +37,6 @@ struct RuntimeConfig {
   /// Attribute whose value partitions the stream; `TagId` for the paper's
   /// RFID workloads.
   std::string partition_key = "TagId";
-  /// Events per cross-thread handoff (ring-slot exchange). With
-  /// `batch.enabled` this is only the starting size — the policy then grows
-  /// the batch under load (bounded by its latency target) and shrinks it
-  /// when the stream idles.
-  size_t batch_size = 256;
-  /// Adaptive handoff batching (off by default); see runtime/batch_policy.h
-  /// for the sizing rule.
-  BatchConfig batch;
   /// Compile structurally identical queries onto one shared NFA per worker
   /// engine (QueryEngine::set_scan_sharing). Output is byte-identical to
   /// dedicated plans; a checkpoint taken with sharing on must be restored
@@ -53,11 +44,12 @@ struct RuntimeConfig {
   /// whenever predicate pushdown applies).
   bool scan_sharing = false;
   /// Batches per shard queue before the dispatcher blocks (backpressure).
+  /// A slot holds at most one round of a worker's events.
   size_t queue_capacity = 64;
-  /// Dispatcher events between incremental merge attempts (and per-stream
-  /// clock broadcasts that unstick quiet shards' tail negations). 0 disables
-  /// incremental delivery: all output surfaces on OnFlush/WaitIdle.
-  size_t merge_interval = 4096;
+  /// The runtime's one cadence: dispatched events per round (see "Cadence"
+  /// on ShardedRuntime), so it bounds both the cross-thread batch size and
+  /// how long a certified record waits for delivery. Clamped to at least 1.
+  size_t merge_interval = 256;
   /// Dead dispatch-log prefix entries a stream log accumulates before the
   /// merger physically truncates it (amortizes the erase).
   size_t log_compact_min = 1024;
@@ -135,10 +127,19 @@ struct RuntimeConfig {
 /// merge order across streams is the dispatch interleaving, i.e. the order
 /// the serial engine would have seen the OnEvent/OnStreamEvent calls.
 ///
+/// Cadence: every RuntimeConfig::merge_interval dispatched events end a
+/// round. A round hands each hosting worker exactly one batch — its pending
+/// events under their own progress claim, or, when it has none, the
+/// per-stream clocks that unstick a quiet shard's tail negations — and then
+/// delivers every record the acknowledged claims certify. A batch carries
+/// one stream, so interleaved streams also cut a worker's batch on a
+/// stream switch.
+///
 /// Memory bound: the merger's dispatch log is compacted below the merge
-/// watermark after every incremental merge, so steady-state runtime memory
-/// is O(shards x in-flight window) — batches in flight plus one
-/// merge-interval of log — independent of total stream length.
+/// watermark after every round's delivery, so steady-state runtime memory
+/// is O(shards x in-flight window) — at most queue_capacity + 1 rounds of
+/// events per worker plus a few rounds of log — independent of total
+/// stream length.
 ///
 /// Elasticity: Resize(n) re-partitions mid-stream at a quiesce point,
 /// handing each key's operator state to the shard that owns the key under
@@ -148,8 +149,8 @@ struct RuntimeConfig {
 ///
 /// Threading contract: Register/Unregister/OnEvent/OnStreamEvent/OnFlush/
 /// WaitIdle are called from ONE dispatcher thread (the stream's producer).
-/// Output callbacks fire on that same thread, during OnEvent (incremental
-/// merges), OnFlush and WaitIdle — user code never needs to synchronize.
+/// Output callbacks fire on that same thread, during OnEvent (at round
+/// ends), OnFlush and WaitIdle — user code never needs to synchronize.
 /// Events must arrive in stream order per input stream (non-decreasing
 /// timestamp, increasing seq), the invariant StreamSource already enforces.
 class ShardedRuntime : public EventSink {
@@ -294,10 +295,6 @@ class ShardedRuntime : public EventSink {
   uint64_t hotkey_secondary_splits() const { return hotkey_secondary_splits_; }
   uint64_t hotkey_split_refusals() const { return hotkey_split_refusals_; }
   const ElasticPolicy& elastic_policy() const { return policy_; }
-  /// Batch size the dispatcher is cutting handoffs at right now (fixed
-  /// batch_size unless RuntimeConfig::batch.enabled).
-  size_t current_batch() const { return batch_policy_.current(); }
-  const BatchPolicy& batch_policy() const { return batch_policy_; }
   /// Shared-scan activity summed over every worker engine. Reads the
   /// engines, so call from the dispatcher thread at a quiesce point
   /// (after WaitIdle or OnFlush).
@@ -450,13 +447,15 @@ class ShardedRuntime : public EventSink {
   void AppendToWorker(Worker* worker, const std::string& stream,
                       const EventPtr& event, uint64_t global,
                       uint64_t trace_id);
-  /// Pushes the worker's partial batch (if any, or if it carries clocks or a
-  /// flush marker), stamping the progress claim.
+  /// Pushes the worker's pending batch (if it has events, clocks or a flush
+  /// marker), stamping the progress claim.
   void FlushBatch(Worker* worker, const Clocks* clocks, bool flush);
   /// Per-stream clocks of every stream with traffic.
   Clocks CurrentClocks() const;
-  /// Flushes batches with the current clocks to every hosting worker.
-  void BroadcastClocks();
+  /// Pushes one batch to every hosting worker: its pending events under
+  /// their own progress claim, with the current clocks attached only when
+  /// `clock_busy` (the quiesce points) or when it has no pending events.
+  void PushRound(bool clock_busy);
   void CollectOutputs();
   void DeliverReady();
   void Deliver(std::vector<TaggedRecord> records);
@@ -501,9 +500,6 @@ class ShardedRuntime : public EventSink {
   /// Elastic policy tick: samples queue occupancy + event rate every
   /// check_interval dispatched events and resizes on a grow/shrink verdict.
   void MaybeAutoResize();
-  /// Adaptive-batch policy tick: samples the dispatch rate every
-  /// batch.check_interval events and adjusts the handoff cut-off.
-  void MaybeAdaptBatch();
   /// Books a finished delivery at `threshold`: records dispatch->merge
   /// watermark latency for pending merge marks, and closes sampled events'
   /// "merge" and "emit" spans. `t0`/`t1` bracket the callback loop.
@@ -514,7 +510,6 @@ class ShardedRuntime : public EventSink {
   Partitioner partitioner_;
   OutputMerger merger_;
   ElasticPolicy policy_;
-  BatchPolicy batch_policy_;
   EngineInit engine_init_;
 
   std::vector<std::unique_ptr<Worker>> workers_;  // shards + broadcast
@@ -559,12 +554,6 @@ class ShardedRuntime : public EventSink {
   /// (int 7 vs string "7"). Cleared when the query set changes — a refusal
   /// may become splittable (or vice versa).
   std::set<std::pair<StreamId, std::string>> hotkey_refused_;
-  // Adaptive-batch sampling window (independent of the elastic window).
-  uint64_t batch_check_global_ = 0;
-  std::chrono::steady_clock::time_point batch_check_time_{};
-  /// Batch sizes chosen by the policy, one sample per tick; null without a
-  /// registry or with adaptive batching off.
-  obs::HistogramMetric* batch_size_hist_ = nullptr;
 
   uint64_t events_dispatched_ = 0;  // == global dispatch index of last event
   // Memoized OnStreamEvent name resolution (raw -> lowered + interned id).
@@ -587,7 +576,7 @@ class ShardedRuntime : public EventSink {
   bool obs_stamp_ = false;
   obs::HistogramMetric* dispatch_merge_latency_ = nullptr;
   /// Merge-watermark marks: {dispatch index, MonotonicNs at dispatch}, one
-  /// per merge-interval cycle; popped when a delivery's threshold passes the
+  /// per round; popped when a delivery's threshold passes the
   /// index, yielding the dispatch->merge latency sample.
   struct MergeMark {
     uint64_t global = 0;

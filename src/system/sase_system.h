@@ -49,9 +49,9 @@ struct SystemConfig {
   /// engines the checkpoint subsystem knows how to rebuild.
   int shard_count = 1;
   std::string partition_key = "TagId";
-  /// Runtime merge cadence (events between incremental merges + clock
-  /// broadcasts); see RuntimeConfig.
-  size_t runtime_merge_interval = 4096;
+  /// The runtime's one cadence, dispatched events per round; see
+  /// RuntimeConfig::merge_interval.
+  size_t runtime_merge_interval = 256;
   /// Load-driven shard autoscaling (`runtime_elastic.enabled = true` turns
   /// it on; requires shard_count >= 2 so a runtime exists). Thresholds,
   /// bounds and hysteresis: see ElasticConfig in runtime/elastic_policy.h

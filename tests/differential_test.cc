@@ -95,7 +95,7 @@ std::vector<std::string> RunSharded(const Catalog& catalog,
   std::vector<std::string> lines;
   RuntimeConfig config;
   config.shard_count = shards;
-  config.merge_interval = 64;  // frequent incremental merges
+  config.merge_interval = 64;  // frequent rounds
   config.scan_sharing = sharing;
   ShardedRuntime runtime(&catalog, config);
   for (size_t q = 0; q < c.queries.size(); ++q) {
@@ -563,7 +563,7 @@ AckRunResult RunAckCrashRecover(const GeneratedCase& c, int shards,
       if (i == stall_at) {
         // Quiesce so everything produced so far is delivered (and acked per
         // the plan) before the consumer stalls: in a tight feed loop the
-        // incremental merges trail the dispatcher, and without this the
+        // rounds' deliveries trail the dispatcher, and without this the
         // only delivery burst before the kill would be the checkpoint's own
         // quiesce — whose acks the snapshot immediately makes durable,
         // leaving the crash window empty.

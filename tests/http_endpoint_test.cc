@@ -272,7 +272,7 @@ TEST(HttpEndpointTest, HealthzFlipsTo503OnWedgedRuntime) {
   std::atomic<bool> release{false};
   RuntimeConfig config;
   config.shard_count = 2;
-  config.batch_size = 1;  // one event per batch: later batches queue up
+  config.merge_interval = 1;  // one event per batch: later batches queue up
   ShardedRuntime runtime(&catalog, config, [&release](QueryEngine& engine) {
     (void)engine.functions()->Register(
         "_stall", 1, [&release](const std::vector<Value>&) -> Result<Value> {

@@ -390,10 +390,11 @@ TEST(RecoveryPreconditionTest, CheckpointDuringResizeIsRefused) {
   Catalog catalog = Catalog::RetailDemo();
   auto trace = Trace(catalog, 400);
   std::string dir = FreshDir("during_resize");
-  // merge_interval 0: no incremental merges, so records are still pending
-  // when Resize quiesces — its delivery callbacks run mid-resize.
+  // An interval longer than the trace: no round ends before Resize, so
+  // records are still pending when it quiesces — its delivery callbacks run
+  // mid-resize.
   SystemConfig config = CheckpointedConfig(/*shards=*/2, dir,
-                                           /*merge_interval=*/0);
+                                           /*merge_interval=*/4096);
   SaseSystem system(StoreLayout::RetailDemo(), config);
 
   std::vector<Status> during_resize;
@@ -1111,7 +1112,12 @@ TEST(ExactlyOnceTest, AckedCursorSurvivesGroupCommitCrashWindow) {
     }
     for (size_t i = 0; i < 250; ++i) system.event_bus().OnEvent(trace[i]);
     ASSERT_TRUE(system.Checkpoint().ok());
-    for (size_t i = 250; i < 500; ++i) system.event_bus().OnEvent(trace[i]);
+    // Quiesce at a fixed event: every record triggered up to it is delivered
+    // (and half of them acked) however the shard workers were scheduled, so
+    // the crash window below holds deliveries by construction.
+    for (size_t i = 250; i < 400; ++i) system.event_bus().OnEvent(trace[i]);
+    system.runtime()->WaitIdle();
+    for (size_t i = 400; i < 500; ++i) system.event_bus().OnEvent(trace[i]);
     consumer.system = nullptr;
     // Crash without Flush: unacked deliveries, the pending ack batch and
     // the open commit group all die here.

@@ -408,7 +408,6 @@ std::vector<std::string> RunSharded(const Catalog& catalog,
   RuntimeConfig config;
   config.shard_count = shards;
   config.merge_interval = merge_interval;
-  config.batch_size = 64;
   ShardedRuntime runtime(&catalog, config);
   for (size_t q = 0; q < std::size(kGoldenQueries); ++q) {
     auto id = runtime.Register(kGoldenQueries[q],
@@ -458,7 +457,6 @@ TEST(ShardedRuntimeTest, WatermarkReleasesTailNegationOnQuietShard) {
   Catalog catalog = Catalog::RetailDemo();
   RuntimeConfig config;
   config.shard_count = 4;
-  config.batch_size = 1;
   config.merge_interval = 4;
   ShardedRuntime runtime(&catalog, config);
 
@@ -492,6 +490,32 @@ TEST(ShardedRuntimeTest, WatermarkReleasesTailNegationOnQuietShard) {
   EXPECT_GE(delivered, 50);
 }
 
+TEST(ShardedRuntimeTest, ZeroIntervalIsClampedToOneEventRounds) {
+  // An interval of 0 is clamped to 1, so every event ends a round. The 2-slot
+  // rings make the delivery certain: the fourth round's push waits until the
+  // first round's batch is done, and that round then delivers its record.
+  Catalog catalog = Catalog::RetailDemo();
+  RuntimeConfig config;
+  config.shard_count = 2;
+  config.queue_capacity = 2;
+  config.merge_interval = 0;
+  ShardedRuntime runtime(&catalog, config);
+  int count = 0;
+  ASSERT_TRUE(runtime
+                  .Register("EVENT SHELF_READING s RETURN s.TagId",
+                            [&count](const OutputRecord&) { ++count; })
+                  .ok());
+  for (int i = 0; i < 8; ++i) {
+    EventBuilder b(catalog, "SHELF_READING");
+    auto e = b.Set("TagId", "T").Set("AreaId", 0).Build(1 + i, i);
+    ASSERT_TRUE(e.ok());
+    runtime.OnEvent(e.value());
+  }
+  EXPECT_GE(count, 1) << "no round delivered before flush";
+  runtime.OnFlush();
+  EXPECT_EQ(count, 8);
+}
+
 // --- Dispatch-log compaction (memory bound) ----------------------------------
 
 TEST(DispatchLogCompactionTest, LogStaysBoundedOnLongStream) {
@@ -501,9 +525,8 @@ TEST(DispatchLogCompactionTest, LogStaysBoundedOnLongStream) {
   Catalog catalog = Catalog::RetailDemo();
   RuntimeConfig config;
   config.shard_count = 4;
-  config.batch_size = 32;
   config.queue_capacity = 16;
-  config.merge_interval = 256;
+  config.merge_interval = 32;
   config.log_compact_min = 64;
   ShardedRuntime runtime(&catalog, config);
 
@@ -528,10 +551,10 @@ TEST(DispatchLogCompactionTest, LogStaysBoundedOnLongStream) {
   ASSERT_EQ(runtime.events_dispatched(), kEvents);
 
   // In-flight bound: every worker can hold queue_capacity batches plus the
-  // dispatcher's pending one, and merges (hence compactions) run every
-  // merge_interval events.
+  // dispatcher's pending one, a batch holds at most one round of events,
+  // and merges (hence compactions) run every round.
   size_t in_flight = static_cast<size_t>(config.shard_count + 1) *
-                     (config.queue_capacity + 1) * config.batch_size;
+                     (config.queue_capacity + 1) * config.merge_interval;
   size_t bound = in_flight + 8 * config.merge_interval + config.log_compact_min;
   EXPECT_LE(runtime.peak_dispatch_log_len(), bound);
   EXPECT_LT(runtime.peak_dispatch_log_len(), kEvents / 10);
@@ -548,14 +571,13 @@ TEST(DispatchLogCompactionTest, LogStaysBoundedOnLongStream) {
 }
 
 TEST(DispatchLogCompactionTest, IdleShardDoesNotBlockCompaction) {
-  // All traffic lands on one shard (single tag); the clock broadcast must
-  // advance the idle shards' merge progress so the watermark — and with it
-  // compaction — keeps moving.
+  // All traffic lands on one shard (single tag); the rounds' clock batches
+  // must advance the idle shards' merge progress so the watermark — and
+  // with it compaction — keeps moving.
   Catalog catalog = Catalog::RetailDemo();
   RuntimeConfig config;
   config.shard_count = 8;
-  config.batch_size = 16;
-  config.merge_interval = 128;
+  config.merge_interval = 16;
   config.log_compact_min = 64;
   ShardedRuntime runtime(&catalog, config);
 
@@ -611,8 +633,7 @@ TEST(DispatchLogCompactionTest, CompactionRacesTailNegationDeferralRelease) {
   std::vector<std::string> sharded;
   RuntimeConfig config;
   config.shard_count = 4;
-  config.batch_size = 4;
-  config.merge_interval = 32;  // merge + compact as often as possible
+  config.merge_interval = 4;  // merge + compact as often as possible
   config.log_compact_min = 16;
   ShardedRuntime runtime(&catalog, config);
   ASSERT_TRUE(runtime
@@ -634,7 +655,6 @@ TEST(ShardedRuntimeTest, UnregisterStopsDelivery) {
   RuntimeConfig config;
   config.shard_count = 2;
   config.merge_interval = 1;
-  config.batch_size = 1;
   ShardedRuntime runtime(&catalog, config);
   int count = 0;
   auto id = runtime.Register("EVENT SHELF_READING s RETURN s.TagId",
@@ -702,7 +722,6 @@ TEST(ShardedRuntimeFromStreamTest, ByteIdenticalToSerialAcrossShardCounts) {
     RuntimeConfig config;
     config.shard_count = shards;
     config.merge_interval = 512;
-    config.batch_size = 64;
     config.log_compact_min = 128;
     ShardedRuntime runtime(&catalog, config);
     for (size_t q = 0; q < std::size(kFromStreamQueries); ++q) {
@@ -780,7 +799,6 @@ TEST(ShardedRuntimeFromStreamTest, MixedStreamsInterleaveInDispatchOrder) {
     RuntimeConfig config;
     config.shard_count = shards;
     config.merge_interval = 256;
-    config.batch_size = 32;
     config.log_compact_min = 64;
     ShardedRuntime runtime(&catalog, config);
     ASSERT_TRUE(runtime
@@ -978,7 +996,6 @@ TEST(ShardedRuntimeResizeTest, GoldenByteIdenticalAcrossGrowAndShrink) {
   RuntimeConfig config;
   config.shard_count = 1;
   config.merge_interval = 256;
-  config.batch_size = 32;
   config.log_compact_min = 64;
   ShardedRuntime runtime(&catalog, config);
   RegisterResizeWorkload(&runtime, &sharded);
@@ -1048,7 +1065,6 @@ TEST(ShardedRuntimeResizeTest, DeferralStraddlingResizeReleasesExactlyOnce) {
   std::vector<std::string> sharded;
   RuntimeConfig config;
   config.shard_count = 2;
-  config.batch_size = 1;
   config.merge_interval = 2;
   config.log_compact_min = 1;
   ShardedRuntime runtime(&catalog, config);
@@ -1093,7 +1109,6 @@ TEST(ShardedRuntimeResizeTest, RegistrationPointsSurviveResize) {
     std::vector<std::string> out;
     RuntimeConfig config;
     config.shard_count = 2;
-    config.batch_size = 1;
     config.merge_interval = 2;
     config.scan_sharing = sharing;
     ShardedRuntime runtime(&catalog, config);
@@ -1185,9 +1200,8 @@ TEST(ShardedRuntimeElasticTest, BackpressureGrowsTheFleet) {
   Catalog catalog = Catalog::RetailDemo();
   RuntimeConfig config;
   config.shard_count = 1;
-  config.batch_size = 8;
   config.queue_capacity = 4;
-  config.merge_interval = 64;
+  config.merge_interval = 8;
   config.elastic.enabled = true;
   config.elastic.min_shards = 1;
   config.elastic.max_shards = 4;
@@ -1231,11 +1245,12 @@ TEST(ShardedRuntimeElasticTest, BackpressureGrowsTheFleet) {
 // --- Per-batch merge progress under interleaved streams ----------------------
 
 TEST(ShardedRuntimeTest, PerBatchProgressDeliversIncrementallyAcrossStreams) {
-  // With interleaved default+named traffic and only ONE clock broadcast in
-  // the whole feed, incremental delivery must still happen: event batches
-  // carry per-stream clocks and claim progress themselves. (Under the old
-  // clock-cadence scheme the single mid-feed merge found no certified
-  // progress and delivered nothing before flush.)
+  // With interleaved default+named traffic a busy worker's own events cannot
+  // vouch for the other stream's parked deferrals, so its event batches
+  // carry the per-stream clocks and claim the dispatched prefix themselves.
+  // The rounds must then deliver before flush without reordering anything.
+  // The 4-slot rings make the delivery certain: a push to a worker waits
+  // until the worker has finished the batch pushed five before it.
   Catalog catalog = Catalog::RetailDemo();
   auto trace = GoldenTrace(catalog);
   const char* kDefaultQuery =
@@ -1269,9 +1284,8 @@ TEST(ShardedRuntimeTest, PerBatchProgressDeliversIncrementallyAcrossStreams) {
   size_t delivered_before_flush = 0;
   RuntimeConfig config;
   config.shard_count = 4;
-  config.batch_size = 16;
   config.queue_capacity = 4;
-  config.merge_interval = 3000;  // single merge point mid-feed
+  config.merge_interval = 16;
   ShardedRuntime runtime(&catalog, config);
   ASSERT_TRUE(runtime
                   .Register(kDefaultQuery,
@@ -1291,6 +1305,60 @@ TEST(ShardedRuntimeTest, PerBatchProgressDeliversIncrementallyAcrossStreams) {
   EXPECT_EQ(serial, sharded);
   EXPECT_GT(delivered_before_flush, 0u)
       << "per-batch progress claims did not advance the merge";
+}
+
+TEST(ShardedRuntimeTest, FullSkewDeliversBeforeFlushAtTheDefaultCadence) {
+  // Every event carries one key, so one shard does all the work and the
+  // other three move their progress claims only through the rounds' clock
+  // batches. At the default interval (eight rounds here) output must surface
+  // before the end of the stream, in serial order. The 2-slot rings make
+  // the delivery certain: a worker's round-4 push waits until it has
+  // processed its round-1 batch, so round 4 delivers what round 1 certified.
+  Catalog catalog = Catalog::RetailDemo();
+  const char* kQuery =
+      "EVENT SEQ(SHELF_READING x, EXIT_READING z) "
+      "WHERE x.TagId = z.TagId WITHIN 5 RETURN x.TagId, z.Timestamp AS t";
+  std::vector<EventPtr> trace;
+  for (uint64_t i = 0; i < 2048; ++i) {
+    EventBuilder b(catalog, i % 5 == 4 ? "EXIT_READING" : "SHELF_READING");
+    auto e = b.Set("TagId", "LONER")
+                 .Set("AreaId", int64_t{1})
+                 .Build(static_cast<Timestamp>(1 + i / 2),
+                        static_cast<SequenceNumber>(i));
+    ASSERT_TRUE(e.ok());
+    trace.push_back(e.value());
+  }
+
+  std::vector<std::string> serial;
+  {
+    QueryEngine engine(&catalog);
+    ASSERT_TRUE(engine
+                    .Register(kQuery,
+                              [&serial](const OutputRecord& r) {
+                                serial.push_back(r.ToString());
+                              })
+                    .ok());
+    for (const auto& event : trace) engine.OnEvent(event);
+    engine.OnFlush();
+  }
+  ASSERT_GT(serial.size(), 100u);
+
+  std::vector<std::string> sharded;
+  RuntimeConfig config;
+  config.shard_count = 4;
+  config.queue_capacity = 2;
+  ShardedRuntime runtime(&catalog, config);
+  auto id = runtime.Register(kQuery, [&sharded](const OutputRecord& r) {
+    sharded.push_back(r.ToString());
+  });
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(runtime.IsSharded(id.value()));
+  for (const auto& event : trace) runtime.OnEvent(event);
+  size_t delivered_before_flush = sharded.size();
+  runtime.OnFlush();
+  EXPECT_EQ(serial, sharded);
+  EXPECT_GT(delivered_before_flush, 0u)
+      << "no round delivered: output waited for the end of the stream";
 }
 
 TEST(ShardedRuntimeTest, StatsAggregateAcrossWorkers) {
