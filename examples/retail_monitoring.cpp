@@ -86,8 +86,9 @@ int main() {
   const auto& cleaning = reports.Channel(ReportBoard::kCleaningOutput);
   std::printf("=== %s === (%zu events, first 5)\n", cleaning.name().c_str(),
               cleaning.size());
-  for (size_t i = 0; i < cleaning.size() && i < 5; ++i) {
-    std::printf("%s\n", cleaning.lines()[i].c_str());
+  const std::vector<std::string> cleaned = cleaning.lines();
+  for (size_t i = 0; i < cleaned.size() && i < 5; ++i) {
+    std::printf("%s\n", cleaned[i].c_str());
   }
 
   std::printf("\n=== Cleaning and Association Layer statistics ===\n%s\n",

@@ -115,8 +115,9 @@ void Negation::OnFlush() {
   Operator::OnFlush();
 }
 
-void Negation::OnWatermark(Timestamp now) {
+void Negation::OnWatermark(Timestamp now, bool prune) {
   if (!pending_.empty()) ReleasePending(now, /*flush=*/false);
+  if (!prune) return;
   // Watermarks prune the candidate buffers too: pruning only drops events
   // past the conservative 2W horizon (they can never violate a future
   // match), so output is unaffected while the state gauges decay on a

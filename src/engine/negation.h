@@ -59,11 +59,11 @@ class Negation : public Operator {
 
   /// Advances stream time without an event: releases deferred matches whose
   /// tail window closed strictly before `now`, exactly as an event with that
-  /// timestamp would, and prunes candidate buffers past the 2W horizon so a
-  /// quiescent stream's state gauges decay. The sharded runtime sends
-  /// watermarks so shards whose partitions go quiet still surface pending
-  /// matches promptly.
-  void OnWatermark(Timestamp now);
+  /// timestamp would, and, when `prune`, prunes candidate buffers past the 2W
+  /// horizon so a quiescent stream's state gauges decay. The sharded runtime
+  /// sends watermarks so shards whose partitions go quiet still surface
+  /// pending matches promptly.
+  void OnWatermark(Timestamp now, bool prune);
 
   const Stats& stats() const { return stats_; }
 

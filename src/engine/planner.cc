@@ -120,15 +120,16 @@ void QueryPlan::OnFlush() {
   }
 }
 
-void QueryPlan::OnWatermark(Timestamp now) {
+void QueryPlan::OnWatermark(Timestamp now, bool prune) {
   // Scan first (prunes window-expired instances, idempotent when members of
   // a shared group repeat it), then negation (releases deferrals, prunes
-  // candidate buffers). Both only discard state that cannot affect any
-  // future match, so watermark cadence never changes output.
-  if (SequenceScan* scan = mutable_scan(); scan != nullptr) {
+  // candidate buffers). Both prunes only discard state that cannot affect
+  // any future match, so neither watermark cadence nor skipping the prune
+  // ever changes output.
+  if (SequenceScan* scan = mutable_scan(); prune && scan != nullptr) {
     scan->OnWatermark(now);
   }
-  negation_->OnWatermark(now);
+  negation_->OnWatermark(now, prune);
 }
 
 uint64_t QueryPlan::eval_error_count() const {

@@ -83,8 +83,9 @@ class QueryPlan {
   /// Signals end-of-stream; releases matches deferred by tail negation.
   void OnFlush();
 
-  /// Advances stream time without an event (see Negation::OnWatermark).
-  void OnWatermark(Timestamp now);
+  /// Advances stream time without an event (see Negation::OnWatermark);
+  /// without `prune` it only releases tail-negation deferrals.
+  void OnWatermark(Timestamp now, bool prune);
 
   const AnalyzedQuery& query() const { return query_; }
   const PlanOptions& options() const { return options_; }

@@ -401,16 +401,17 @@ void QueryEngine::OnFlush() {
   }
 }
 
-void QueryEngine::OnWatermark(Timestamp now) {
+void QueryEngine::OnWatermark(Timestamp now, bool prune) {
   for (auto& [id, entry] : plans_) {
-    if (entry.stream.empty()) entry.plan->OnWatermark(now);
+    if (entry.stream.empty()) entry.plan->OnWatermark(now, prune);
   }
 }
 
-void QueryEngine::OnStreamWatermark(const std::string& stream, Timestamp now) {
+void QueryEngine::OnStreamWatermark(const std::string& stream, Timestamp now,
+                                    bool prune) {
   std::string key = ToLower(stream);
   for (auto& [id, entry] : plans_) {
-    if (entry.stream == key) entry.plan->OnWatermark(now);
+    if (entry.stream == key) entry.plan->OnWatermark(now, prune);
   }
 }
 

@@ -174,14 +174,16 @@ class QueryEngine : public EventSink {
                            const StreamStateRoute& route);
 
   /// Advances stream time on every default-stream plan without delivering
-  /// an event; releases tail-negation deferrals (see Negation::OnWatermark).
-  void OnWatermark(Timestamp now);
+  /// an event; releases tail-negation deferrals and, when `prune`, discards
+  /// window-expired state (see QueryPlan::OnWatermark).
+  void OnWatermark(Timestamp now, bool prune = true);
 
   /// Advances stream time on every plan reading the named input stream
   /// (case-insensitive) — the OnStreamEvent counterpart of OnWatermark. The
   /// sharded runtime broadcasts one clock per stream so quiet shards release
   /// named-stream tail-negation deferrals too.
-  void OnStreamWatermark(const std::string& stream, Timestamp now);
+  void OnStreamWatermark(const std::string& stream, Timestamp now,
+                         bool prune = true);
 
   size_t query_count() const { return plans_.size(); }
   uint64_t events_processed() const { return events_processed_; }

@@ -79,12 +79,14 @@ Status HttpEndpoint::Start(int port) {
 
 void HttpEndpoint::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // shutdown() unblocks the accept(2) the thread is parked in; close()
-  // releases the port.
+  // shutdown() unblocks the accept(2) the thread is parked in. The accept
+  // loop reads listen_fd_ until it exits, so the descriptor is closed (which
+  // releases the port, and lets the number be reused) and reset only after
+  // the join.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
 }
 
 void HttpEndpoint::AcceptLoop() {

@@ -33,6 +33,11 @@ struct EventBatch {
   /// quiet (their own events would otherwise be the only clock). Empty = no
   /// clock update.
   std::vector<std::pair<std::string, Timestamp>> clocks;
+  /// Whether the clocks also prune expired operator state, a sweep of every
+  /// plan's scan partitions and negation keys (QueryEngine::OnWatermark).
+  /// Only quiesce points set it: between them a clock just releases
+  /// deferrals, and a busy worker's own events prune its state.
+  bool prune = false;
 
   /// Global dispatch index this batch certifies fully processed: once the
   /// worker acknowledges the batch, every record it can still emit triggers

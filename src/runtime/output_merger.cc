@@ -1,33 +1,23 @@
 #include "runtime/output_merger.h"
 
 #include <algorithm>
-#include <tuple>
+#include <functional>
 
 #include "util/logging.h"
 
 namespace sase {
-namespace {
 
-/// Composite sort key realizing serial emission order; see the class
-/// comment in output_merger.h.
-using SortKey = std::tuple<uint64_t,        // global trigger dispatch index
-                           QueryId,         // plan iteration order
-                           int,             // deferred releases (0) before
-                                            // fresh matches (1)
-                           Timestamp,       // release_ts (pending-map order)
-                           Timestamp,       // completing event ts
-                           SequenceNumber,  // completing event seq
-                           int,             // worker  (tie-break)
-                           uint64_t>;       // arrival (tie-break)
-
-SortKey KeyFor(const TaggedRecord& r, uint64_t trigger) {
+OutputMerger::SortKey OutputMerger::KeyFor(const TaggedRecord& r,
+                                           uint64_t trigger) {
   const OutputRecord& rec = r.record;
   return SortKey(trigger, r.query, rec.deferred ? 0 : 1,
                  rec.deferred ? rec.release_ts : 0, rec.emit_ts, rec.emit_seq,
                  r.worker, r.arrival);
 }
 
-}  // namespace
+bool OutputMerger::After(const Keyed& a, const Keyed& b) {
+  return b.key < a.key;
+}
 
 uint64_t OutputMerger::NoteDispatched(StreamId stream, Timestamp ts,
                                       SequenceNumber seq) {
@@ -47,16 +37,45 @@ uint64_t OutputMerger::NoteDispatched(StreamId stream, Timestamp ts,
   log.global.push_back(++dispatched_);
   ++live_entries_;
   peak_log_len_ = std::max(peak_log_len_, live_entries_);
+  // This event triggers every parked deferral of the stream whose window
+  // closed before it: it is the first event past their release_ts.
+  if (stream < parked_.size()) {
+    auto& parked = parked_[stream];
+    while (!parked.empty() && parked.front().first < ts) {
+      std::pop_heap(parked.begin(), parked.end(), std::greater<>());
+      Resolve(parked.back().second, dispatched_);
+      parked.pop_back();
+    }
+  }
   return dispatched_;
 }
 
 void OutputMerger::Add(std::vector<TaggedRecord>&& records) {
-  if (pending_.empty()) {
-    pending_ = std::move(records);
-    return;
+  for (TaggedRecord& record : records) {
+    size_t slot;
+    if (free_slots_.empty()) {
+      slot = slots_.size();
+      slots_.push_back(std::move(record));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[slot] = std::move(record);
+    }
+    const TaggedRecord& held = slots_[slot];
+    uint64_t trigger = TriggerIndex(held);
+    // An immediate record always finds its completing event: it was
+    // dispatched before any worker saw it.
+    if (trigger != kNoTrigger || !held.record.deferred) {
+      Resolve(slot, trigger);
+      continue;
+    }
+    if (parked_.size() <= held.stream) {
+      parked_.resize(static_cast<size_t>(held.stream) + 1);
+    }
+    auto& parked = parked_[held.stream];
+    parked.emplace_back(held.record.release_ts, slot);
+    std::push_heap(parked.begin(), parked.end(), std::greater<>());
   }
-  pending_.insert(pending_.end(), std::make_move_iterator(records.begin()),
-                  std::make_move_iterator(records.end()));
 }
 
 uint64_t OutputMerger::TriggerIndex(const TaggedRecord& record) const {
@@ -64,9 +83,9 @@ uint64_t OutputMerger::TriggerIndex(const TaggedRecord& record) const {
   const StreamLog& log = logs_[record.stream];
   if (record.record.deferred) {
     // First dispatched event of the query's stream with ts strictly greater
-    // than the release window's close; until it exists the record is not yet
-    // placeable. Compaction never removes it: a prefix is only truncated
-    // below a safe index that bounds every live record's trigger.
+    // than the release window's close. Compaction never removes it: a prefix
+    // is only truncated below a safe index that bounds the trigger of every
+    // record a worker can still hand over.
     auto it = std::upper_bound(log.ts.begin(), log.ts.end(),
                                record.record.release_ts);
     if (it == log.ts.end()) return kNoTrigger;
@@ -79,34 +98,21 @@ uint64_t OutputMerger::TriggerIndex(const TaggedRecord& record) const {
   return log.global[static_cast<size_t>(it - log.seq.begin())];
 }
 
-std::vector<TaggedRecord> OutputMerger::Release(const std::vector<bool>& take) {
-  std::vector<std::pair<SortKey, size_t>> keyed;
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    if (take[i]) keyed.emplace_back(KeyFor(pending_[i], TriggerIndex(pending_[i])), i);
-  }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+void OutputMerger::Resolve(size_t slot, uint64_t trigger) {
+  ready_.push_back(Keyed{KeyFor(slots_[slot], trigger), slot});
+  std::push_heap(ready_.begin(), ready_.end(), After);
+}
 
-  std::vector<TaggedRecord> out;
-  out.reserve(keyed.size());
-  for (const auto& [key, i] : keyed) out.push_back(std::move(pending_[i]));
-
-  std::vector<TaggedRecord> keep;
-  keep.reserve(pending_.size() - out.size());
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    if (!take[i]) keep.push_back(std::move(pending_[i]));
-  }
-  pending_ = std::move(keep);
-  // Stamp each record with its merge ordinal — the runtime-class delivery
-  // cursor. The merge order is deterministic (serial-equivalent), and
-  // SeedMerged continues the count across recovery, so a record regenerated
-  // by journal replay carries the same position it had before the crash.
-  for (TaggedRecord& released : out) {
-    ++merged_;
-    released.record.cursor_runtime_hosted = true;
-    released.record.cursor_position = merged_;
-  }
-  return out;
+TaggedRecord OutputMerger::Release(size_t slot) {
+  TaggedRecord released = std::move(slots_[slot]);
+  free_slots_.push_back(slot);
+  // Stamp the merge ordinal — the runtime-class delivery cursor. The merge
+  // order is deterministic (serial-equivalent), and SeedMerged continues the
+  // count across recovery, so a record regenerated by journal replay
+  // carries the same position it had before the crash.
+  released.record.cursor_runtime_hosted = true;
+  released.record.cursor_position = ++merged_;
+  return released;
 }
 
 void OutputMerger::Compact(uint64_t safe_index) {
@@ -127,18 +133,18 @@ void OutputMerger::Compact(uint64_t safe_index) {
   }
 }
 
-std::vector<TaggedRecord> OutputMerger::DrainReady(uint64_t safe_index) {
-  bool any = false;
-  std::vector<bool> take(pending_.size(), false);
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    uint64_t trigger = TriggerIndex(pending_[i]);
-    if (trigger != kNoTrigger && trigger <= safe_index) {
-      take[i] = true;
-      any = true;
-    }
+void OutputMerger::PopReady(uint64_t safe_index,
+                            std::vector<TaggedRecord>* out) {
+  while (!ready_.empty() && std::get<0>(ready_.front().key) <= safe_index) {
+    std::pop_heap(ready_.begin(), ready_.end(), After);
+    out->push_back(Release(ready_.back().slot));
+    ready_.pop_back();
   }
+}
+
+std::vector<TaggedRecord> OutputMerger::DrainReady(uint64_t safe_index) {
   std::vector<TaggedRecord> out;
-  if (any) out = Release(take);
+  PopReady(safe_index, &out);
   // Everything at or below the safe index is now released and can never be
   // a trigger again; reclaim the prefix.
   Compact(safe_index);
@@ -146,7 +152,16 @@ std::vector<TaggedRecord> OutputMerger::DrainReady(uint64_t safe_index) {
 }
 
 std::vector<TaggedRecord> OutputMerger::DrainFinal() {
-  auto out = Release(std::vector<bool>(pending_.size(), true));
+  // The deferrals whose release window never closed trigger at end-of-stream.
+  // kNoTrigger sorts after every real trigger, and the rest of their key is
+  // per-query flush order (query id, release_ts, completion order), as
+  // QueryEngine::OnFlush emits them.
+  for (auto& parked : parked_) {
+    for (const auto& entry : parked) Resolve(entry.second, kNoTrigger);
+    parked.clear();
+  }
+  std::vector<TaggedRecord> out;
+  PopReady(kNoTrigger, &out);
   // The end-of-stream clear reclaims the log like a compaction.
   if (live_entries_ > 0) {
     compacted_entries_ += live_entries_;

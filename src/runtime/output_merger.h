@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/match.h"
@@ -38,14 +40,17 @@ struct TaggedRecord {
 /// The merger keeps one dispatch log per input stream (timestamp, seq of
 /// every event the runtime forwarded to that stream, in stream order) plus a
 /// single global dispatch index numbering all events across streams in
-/// dispatch order. Each buffered record's trigger resolves within its
-/// query's stream log to a *global* index, and records release sorted by
+/// dispatch order. Each record's trigger is resolved once: on Add when its
+/// trigger event is already in its query's stream log, otherwise — a
+/// deferred record whose window closes on an event not yet dispatched — when
+/// NoteDispatched logs that event. Resolved records wait in one heap ordered
+/// by
 ///   (global trigger index, query id, deferred-before-immediate, release_ts,
-///    completing ts, completing seq, worker, arrival).
-/// Records from one worker already arrive in this order relative to each
-/// other; any two records that tie through `emit_seq` share a completing
-/// event and hence a worker, so the worker/arrival tail makes the order
-/// total without ever deciding between shards.
+///    completing ts, completing seq, worker, arrival),
+/// so a drain pops exactly the records it releases. Any two records that
+/// tie through `emit_seq` share a completing event and hence a worker, so
+/// the worker/arrival tail makes the order total without ever deciding
+/// between shards.
 ///
 /// Memory bound: after each DrainReady(safe_index) the log prefix at or
 /// below `safe_index` can never be a trigger again — every already-buffered
@@ -72,13 +77,15 @@ class OutputMerger {
   /// non-decreasing timestamps, increasing seq.
   uint64_t NoteDispatched(StreamId stream, Timestamp ts, SequenceNumber seq);
 
-  /// Takes ownership of records drained from a worker's output buffer.
+  /// Takes ownership of records drained from a worker's output buffer and
+  /// resolves each one's trigger (or parks it until its trigger event is
+  /// dispatched).
   void Add(std::vector<TaggedRecord>&& records);
 
-  /// Releases, in serial order, every buffered record whose trigger event is
-  /// known and has global dispatch index <= `safe_index` (the caller's bound
-  /// on the latest trigger every worker has fully processed), then compacts
-  /// the dead log prefixes.
+  /// Releases, in serial order, every buffered record whose trigger event has
+  /// global dispatch index <= `safe_index` (the caller's bound on the latest
+  /// trigger every worker has fully processed), then compacts the dead log
+  /// prefixes. Costs what it releases: the records it keeps are not touched.
   std::vector<TaggedRecord> DrainReady(uint64_t safe_index);
 
   /// End-of-stream: releases everything and clears the logs. Records with a
@@ -100,7 +107,7 @@ class OutputMerger {
   void SeedMerged(uint64_t merged) { merged_ = merged; }
 
   uint64_t merged_count() const { return merged_; }
-  size_t pending_count() const { return pending_.size(); }
+  size_t pending_count() const { return slots_.size() - free_slots_.size(); }
   uint64_t dispatched_count() const { return dispatched_; }
 
   // --- dispatch-log introspection ---
@@ -123,17 +130,50 @@ class OutputMerger {
     std::vector<uint64_t> global;
   };
 
+  /// Serial-order key of a record whose trigger is known; see the class
+  /// comment.
+  using SortKey = std::tuple<uint64_t,        // global trigger dispatch index
+                             QueryId,         // plan iteration order
+                             int,             // deferred releases (0) before
+                                              // fresh matches (1)
+                             Timestamp,       // release_ts (pending-map order)
+                             Timestamp,       // completing event ts
+                             SequenceNumber,  // completing event seq
+                             int,             // worker  (tie-break)
+                             uint64_t>;       // arrival (tie-break)
+  /// A held record's place in the release heap.
+  struct Keyed {
+    SortKey key;
+    size_t slot;
+  };
+
+  static SortKey KeyFor(const TaggedRecord& record, uint64_t trigger);
+  /// Heap order of `ready_`: the smallest key on top.
+  static bool After(const Keyed& a, const Keyed& b);
+  /// The record's trigger in its stream log as it stands, or kNoTrigger.
   uint64_t TriggerIndex(const TaggedRecord& record) const;
-  /// Extracts the records marked in `take`, sorted into serial order;
-  /// everything else stays pending in arrival order.
-  std::vector<TaggedRecord> Release(const std::vector<bool>& take);
+  /// Queues the record in `slot` for release at `trigger`.
+  void Resolve(size_t slot, uint64_t trigger);
+  /// Takes the record out of `slot` and stamps its merge ordinal.
+  TaggedRecord Release(size_t slot);
+  /// Appends the resolved records with trigger <= `safe_index` to `out`, in
+  /// serial order.
+  void PopReady(uint64_t safe_index, std::vector<TaggedRecord>* out);
   /// Truncates every stream log's prefix of entries with global index
   /// <= `safe_index` once the dead run is worth the erase.
   void Compact(uint64_t safe_index);
 
   size_t compact_min_;
   std::vector<StreamLog> logs_;  // indexed by StreamId
-  std::vector<TaggedRecord> pending_;
+  /// Every held record sits in a slot; released slots are reused.
+  std::vector<TaggedRecord> slots_;
+  std::vector<size_t> free_slots_;
+  /// Resolved records, a min-heap on their keys.
+  std::vector<Keyed> ready_;
+  /// Per StreamId: deferred records whose trigger — the stream's first event
+  /// with ts > release_ts — is not dispatched yet, a min-heap of
+  /// (release_ts, slot).
+  std::vector<std::vector<std::pair<Timestamp, size_t>>> parked_;
   uint64_t dispatched_ = 0;  // global dispatch clock (== last issued index)
   uint64_t merged_ = 0;
   size_t live_entries_ = 0;

@@ -131,9 +131,9 @@ void ShardedRuntime::WorkerLoop(Worker* worker) {
     }
     for (const auto& [stream, ts] : batch.clocks) {
       if (stream.empty()) {
-        worker->engine->OnWatermark(ts);
+        worker->engine->OnWatermark(ts, batch.prune);
       } else {
-        worker->engine->OnStreamWatermark(stream, ts);
+        worker->engine->OnStreamWatermark(stream, ts, batch.prune);
       }
     }
     if (batch.flush) worker->engine->OnFlush();
@@ -672,6 +672,15 @@ void ShardedRuntime::OnStreamEvent(const std::string& stream,
 
 void ShardedRuntime::Dispatch(StreamId stream, const std::string& name,
                               const EventPtr& event) {
+  // After an idle gap, end the round before this event joins it: the burst
+  // before the gap reaches the workers now, not merge_interval events later.
+  const uint64_t now_ns = obs::MonotonicNs();
+  if (now_ns - last_dispatch_ns_ >= kIdleGapNs &&
+      events_dispatched_ > round_end_) {
+    EndRound();
+  }
+  last_dispatch_ns_ = now_ns;
+
   obs::TraceCollector* tracer = config_.tracer;
   uint64_t trace_id = 0;
   uint64_t trace_start = 0;
@@ -713,16 +722,10 @@ void ShardedRuntime::Dispatch(StreamId stream, const std::string& name,
     open_traces_.push_back(OpenTrace{global, trace_id, now});
   }
 
-  if (events_dispatched_ % config_.merge_interval == 0) {
-    // End of a round: one batch per hosting worker, then surface whatever
-    // the acknowledged claims certify and compact the dispatch log under it.
-    if (dispatch_merge_latency_ != nullptr) {
-      merge_marks_.push_back(
-          MergeMark{events_dispatched_, obs::MonotonicNs()});
-    }
-    PushRound(/*clock_busy=*/false);
-    DeliverReady();
-  }
+  if (events_dispatched_ % config_.merge_interval == 0) EndRound();
+  // Deliver as soon as the slowest hosting worker's claim has advanced, not
+  // only at round ends.
+  DeliverReady();
   if (config_.hotkey_mitigation) MaybeMitigateHotKeys();
   if (config_.elastic.enabled) MaybeAutoResize();
 }
@@ -880,16 +883,26 @@ ShardedRuntime::Clocks ShardedRuntime::CurrentClocks() const {
   return clocks;
 }
 
+void ShardedRuntime::EndRound() {
+  if (dispatch_merge_latency_ != nullptr) {
+    merge_marks_.push_back(MergeMark{events_dispatched_, obs::MonotonicNs()});
+  }
+  PushRound(/*clock_busy=*/false);
+}
+
 void ShardedRuntime::PushRound(bool clock_busy) {
+  round_end_ = events_dispatched_;
   Clocks clocks = CurrentClocks();
   for (auto& worker : workers_) {
     if (!WorkerHostsQueries(*worker)) continue;
     if (!clock_busy && !worker->pending.events.empty()) {
-      // A busy worker's own events are its clock. Stream clocks would run
-      // OnWatermark over every plan — a sweep of all scan partitions and
-      // negation keys — on the workers with the most to do.
+      // A busy worker's own events are its clock.
       FlushBatch(worker.get(), nullptr, /*flush=*/false);
     } else if (!clocks.empty()) {
+      // Between quiesce points a clock only releases deferrals. The prune
+      // sweep over every plan's scan partitions and negation keys reclaims
+      // only expired state, and an idle worker gains none.
+      worker->pending.prune = clock_busy;
       FlushBatch(worker.get(), &clocks, /*flush=*/false);
     }
   }
@@ -915,6 +928,7 @@ void ShardedRuntime::WaitIdle() {
   // future record triggers strictly later in dispatch order, so everything
   // at or below the current dispatch point is safe to release.
   CollectOutputs();
+  delivered_through_ = events_dispatched_;
   bool obs_pending = !merge_marks_.empty() || !open_traces_.empty();
   uint64_t t0 = obs_pending ? obs::MonotonicNs() : 0;
   Deliver(merger_.DrainReady(events_dispatched_));
@@ -958,7 +972,8 @@ void ShardedRuntime::DeliverReady() {
         threshold, worker->progress_hi.load(std::memory_order_acquire));
     any = true;
   }
-  if (!any || threshold == 0) return;
+  if (!any || threshold <= delivered_through_) return;
+  delivered_through_ = threshold;
   CollectOutputs();
   bool obs_pending =
       (!merge_marks_.empty() && merge_marks_.front().global <= threshold) ||

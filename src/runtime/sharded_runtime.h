@@ -128,15 +128,20 @@ struct RuntimeConfig {
 /// the serial engine would have seen the OnEvent/OnStreamEvent calls.
 ///
 /// Cadence: every RuntimeConfig::merge_interval dispatched events end a
-/// round. A round hands each hosting worker exactly one batch — its pending
-/// events under their own progress claim, or, when it has none, the
-/// per-stream clocks that unstick a quiet shard's tail negations — and then
-/// delivers every record the acknowledged claims certify. A batch carries
-/// one stream, so interleaved streams also cut a worker's batch on a
-/// stream switch.
+/// round, and so does the first dispatch after the dispatcher was idle for
+/// kIdleGapNs (before that event joins the next round). A round hands each
+/// hosting worker exactly one batch — its pending events under their own
+/// progress claim, or, when it has none, the per-stream clocks that unstick
+/// a quiet shard's tail negations. Such a clock only releases deferrals; the
+/// sweep that also prunes expired state over every plan runs at the quiesce
+/// points (WaitIdle clocks every worker). Delivery is not tied to rounds:
+/// every dispatch reads the hosting workers' acknowledged claims and, once
+/// the slowest one has advanced, delivers every record they certify. A
+/// batch carries one stream, so interleaved streams also cut a worker's
+/// batch on a stream switch.
 ///
 /// Memory bound: the merger's dispatch log is compacted below the merge
-/// watermark after every round's delivery, so steady-state runtime memory
+/// watermark after every delivery, so steady-state runtime memory
 /// is O(shards x in-flight window) — at most queue_capacity + 1 rounds of
 /// events per worker plus a few rounds of log — independent of total
 /// stream length.
@@ -149,8 +154,9 @@ struct RuntimeConfig {
 ///
 /// Threading contract: Register/Unregister/OnEvent/OnStreamEvent/OnFlush/
 /// WaitIdle are called from ONE dispatcher thread (the stream's producer).
-/// Output callbacks fire on that same thread, during OnEvent (at round
-/// ends), OnFlush and WaitIdle — user code never needs to synchronize.
+/// Output callbacks fire on that same thread, during any OnEvent or
+/// OnStreamEvent that sees the slowest hosting worker's claim advance, and
+/// during OnFlush and WaitIdle — user code never needs to synchronize.
 /// Events must arrive in stream order per input stream (non-decreasing
 /// timestamp, increasing seq), the invariant StreamSource already enforces.
 class ShardedRuntime : public EventSink {
@@ -452,11 +458,19 @@ class ShardedRuntime : public EventSink {
   void FlushBatch(Worker* worker, const Clocks* clocks, bool flush);
   /// Per-stream clocks of every stream with traffic.
   Clocks CurrentClocks() const;
+  /// Ends a round between quiesce points (merge_interval events, or an idle
+  /// gap): PushRound without clocking busy workers, with a dispatch->merge
+  /// latency mark when that histogram is on.
+  void EndRound();
   /// Pushes one batch to every hosting worker: its pending events under
   /// their own progress claim, with the current clocks attached only when
-  /// `clock_busy` (the quiesce points) or when it has no pending events.
+  /// `clock_busy` (the quiesce points, whose clocks also prune) or when it
+  /// has no pending events.
   void PushRound(bool clock_busy);
   void CollectOutputs();
+  /// Delivers what the acknowledged claims certify, when the slowest hosting
+  /// worker's claim has advanced past the last delivery; otherwise costs one
+  /// acquire load per hosting worker.
   void DeliverReady();
   void Deliver(std::vector<TaggedRecord> records);
   void WaitDrained(Worker* worker);
@@ -556,6 +570,17 @@ class ShardedRuntime : public EventSink {
   std::set<std::pair<StreamId, std::string>> hotkey_refused_;
 
   uint64_t events_dispatched_ = 0;  // == global dispatch index of last event
+  /// Delivery cadence (dispatcher thread only): the dispatch index the last
+  /// round ended at, the claim the last delivery released through, and when
+  /// the last event was dispatched.
+  uint64_t round_end_ = 0;
+  uint64_t delivered_through_ = 0;
+  uint64_t last_dispatch_ns_ = 0;
+  /// A dispatch this long after the previous one first ends the round. A
+  /// scan-cycle boundary, not a knob: RFID readers report a cycle's readings
+  /// together and then fall quiet, so a gap this long marks the end of a
+  /// cycle, while dispatches within a burst are microseconds apart.
+  static constexpr uint64_t kIdleGapNs = 1000000;
   // Memoized OnStreamEvent name resolution (raw -> lowered + interned id).
   std::string last_stream_raw_;
   std::string last_stream_name_;

@@ -1,6 +1,7 @@
 #include "system/sase_system.h"
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <sstream>
 
@@ -86,6 +87,21 @@ class RawEventArchiver : public EventSink {
   const Catalog* catalog_;
   db::Table* table_;
 };
+
+/// A report channel's name as a metric label value: lowercase, with every
+/// run of other characters one underscore ("Message Results" ->
+/// "message_results"), so a scrape line stays `name value`.
+std::string ChannelLabel(const std::string& name) {
+  std::string label;
+  for (char c : name) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      label += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    } else if (!label.empty() && label.back() != '_') {
+      label += '_';
+    }
+  }
+  return label;
+}
 
 /// /healthz wedge threshold: a worker whose queue holds batches while its
 /// progress counter has not advanced for this long is reported unhealthy.
@@ -201,6 +217,9 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
   ons_ = std::make_unique<db::Ons>(&database_);
   archiver_ = std::make_unique<db::Archiver>(&database_);
   reports_ = ReportBoard(config_.echo_reports);
+  cleaning_output_ = &reports_.Channel(ReportBoard::kCleaningOutput);
+  stream_output_ = &reports_.Channel(ReportBoard::kStreamOutput);
+  message_results_ = &reports_.Channel(ReportBoard::kMessageResults);
 
   // Seed the area directory from the layout so _retrieveLocation returns
   // meaningful descriptions (upsert: a restored directory stays intact).
@@ -353,7 +372,7 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
 }
 
 void SaseSystem::LogEvent(const EventPtr& event) {
-  reports_.Channel(ReportBoard::kCleaningOutput).Append(event->ToString(catalog_));
+  cleaning_output_->AppendEvent(event, catalog_);
 }
 
 void SaseSystem::AddProduct(const TagInfo& tag) {
@@ -368,7 +387,8 @@ void SaseSystem::AddProduct(const TagInfo& tag) {
 OutputCallback SaseSystem::MakeDeliver(const std::string& name,
                                        OutputCallback callback,
                                        bool runtime_hosted) {
-  return [this, name, callback = std::move(callback),
+  return [this, prefix = std::make_shared<const std::string>("[" + name + "] "),
+          callback = std::move(callback),
           runtime_hosted](const OutputRecord& record) {
     // Per-host delivery watermark; during recovery replay the first
     // `suppress` regenerated records per class are exactly the ones the
@@ -382,16 +402,14 @@ OutputCallback SaseSystem::MakeDeliver(const std::string& name,
       ++suppressed_duplicates_;
       return;
     }
-    // Runtime-merged records arrive pre-stamped by the OutputMerger (whose
-    // merge ordinal IS the runtime-class cursor); serial-engine deliveries
-    // are stamped here from the class counter.
-    const OutputRecord* out = &record;
-    OutputRecord stamped;
-    if (record.cursor_position == 0) {
-      stamped = record;
-      stamped.cursor_runtime_hosted = runtime_hosted;
-      stamped.cursor_position = delivered;
-      out = &stamped;
+    // One copy serves both output channels and the callback. Runtime-merged
+    // records arrive pre-stamped by the OutputMerger (whose merge ordinal IS
+    // the runtime-class cursor); serial-engine deliveries are stamped here
+    // from the class counter.
+    auto out = std::make_shared<OutputRecord>(record);
+    if (out->cursor_position == 0) {
+      out->cursor_runtime_hosted = runtime_hosted;
+      out->cursor_position = delivered;
     }
     if (config_.checkpoint.ack_mode == checkpoint::AckMode::kAuto) {
       // Delivery is acknowledgment; the journal's output marks double as
@@ -399,9 +417,8 @@ OutputCallback SaseSystem::MakeDeliver(const std::string& name,
       uint64_t& acked = runtime_hosted ? acked_runtime_ : acked_serial_;
       acked = delivered;
     }
-    reports_.Channel(ReportBoard::kStreamOutput).Append(out->ToString());
-    reports_.Channel(ReportBoard::kMessageResults)
-        .Append("[" + name + "] " + out->ToString());
+    stream_output_->AppendRecord(out);
+    message_results_->AppendRecord(out, prefix);
     if (callback) callback(*out);
   };
 }
@@ -967,6 +984,12 @@ void SaseSystem::ScrapeMetrics() {
       ->Set(static_cast<int64_t>(delivered_serial_ - acked_serial_));
   metrics_->GetCounter("sase_recovery_suppressed_duplicates_total")
       ->Set(suppressed_duplicates_);
+  for (const std::string& name : reports_.ChannelNames()) {
+    metrics_
+        ->GetCounter("sase_report_lines_evicted_total{channel=\"" +
+                     ChannelLabel(name) + "\"}")
+        ->Set(reports_.Channel(name).evicted());
+  }
   if (journal_ != nullptr) {
     metrics_->GetCounter("sase_journal_records_total")
         ->Set(journal_->records_written());

@@ -402,6 +402,10 @@ class SaseSystem {
   db::SqlExecutor sql_;
 
   ReportBoard reports_;
+  // The channels every event or delivery appends to, resolved once.
+  ReportChannel* cleaning_output_ = nullptr;
+  ReportChannel* stream_output_ = nullptr;
+  ReportChannel* message_results_ = nullptr;
 
   // --- observability (src/obs/) ---
   std::unique_ptr<obs::MetricsRegistry> metrics_;

@@ -1113,12 +1113,17 @@ TEST(ExactlyOnceTest, AckedCursorSurvivesGroupCommitCrashWindow) {
     for (size_t i = 0; i < 250; ++i) system.event_bus().OnEvent(trace[i]);
     ASSERT_TRUE(system.Checkpoint().ok());
     // Quiesce at a fixed event: every record triggered up to it is delivered
-    // (and half of them acked) however the shard workers were scheduled, so
-    // the crash window below holds deliveries by construction.
+    // (and half of them acked) however the shard workers were scheduled.
     for (size_t i = 250; i < 400; ++i) system.event_bus().OnEvent(trace[i]);
     system.runtime()->WaitIdle();
-    for (size_t i = 400; i < 500; ++i) system.event_bus().OnEvent(trace[i]);
+    // Keep acking until the last four events, then quiesce unacked: the 15
+    // records those events trigger are delivered and never acked, so the
+    // crash window below holds deliveries by construction, however much of
+    // the rest was delivered (and acked) before them.
+    for (size_t i = 400; i < 496; ++i) system.event_bus().OnEvent(trace[i]);
     consumer.system = nullptr;
+    for (size_t i = 496; i < 500; ++i) system.event_bus().OnEvent(trace[i]);
+    system.runtime()->WaitIdle();
     // Crash without Flush: unacked deliveries, the pending ack batch and
     // the open commit group all die here.
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/catalog.h"
+#include "core/event.h"
 #include "engine/match.h"
 
 namespace sase {
@@ -33,6 +35,109 @@ TEST(ReportChannelTest, ClearEmpties) {
   channel.Clear();
   EXPECT_EQ(channel.size(), 0u);
   EXPECT_FALSE(channel.Contains("line"));
+}
+
+EventPtr ShelfReading(const Catalog& catalog, const std::string& tag) {
+  EventBuilder b(catalog, "SHELF_READING");
+  auto event = b.Set("TagId", tag).Set("AreaId", 3).Build(7, 1);
+  EXPECT_TRUE(event.ok());
+  return event.value();
+}
+
+TEST(ReportChannelTest, EveryEntryKindRendersAsTheEagerLine) {
+  Catalog catalog = Catalog::RetailDemo();
+  EventPtr event = ShelfReading(catalog, "TAG-A");
+  auto record = std::make_shared<OutputRecord>();
+  record->stream = "alerts";
+  record->timestamp = 9;
+  record->names = {"TagId", "AreaId"};
+  record->values = {Value("TAG-A"), Value(3)};
+  auto prefix = std::make_shared<const std::string>("[shoplifting] ");
+
+  ReportChannel channel("mixed");
+  channel.Append("> SELECT 1");
+  channel.AppendEvent(event, catalog);
+  channel.AppendRecord(record);
+  channel.AppendRecord(record, prefix);
+
+  // What the channel held as strings when every append formatted eagerly.
+  const std::vector<std::string> eager = {
+      "> SELECT 1", event->ToString(catalog), record->ToString(),
+      "[shoplifting] " + record->ToString()};
+  EXPECT_EQ(eager[1], "SHELF_READING@7{TagId=TAG-A, AreaId=3, ProductName=NULL}");
+  EXPECT_EQ(eager[3], "[shoplifting] alerts@9{TagId=TAG-A, AreaId=3}");
+  EXPECT_EQ(channel.lines(), eager);
+  std::string text = "=== mixed ===\n";
+  for (const std::string& line : eager) text += line + "\n";
+  EXPECT_EQ(channel.ToString(), text);
+  EXPECT_TRUE(channel.Contains("TagId=TAG-A, AreaId=3}"));
+  EXPECT_TRUE(channel.Contains("[shoplifting] alerts@9"));
+  EXPECT_FALSE(channel.Contains("TAG-B"));
+}
+
+TEST(ReportChannelTest, RingKeepsTheNewestEntriesAndCountsEvictions) {
+  constexpr size_t kCapacity = ReportChannel::kCapacity;
+  ReportChannel channel("ring");
+  for (size_t i = 0; i < kCapacity; ++i) channel.Append("line " + std::to_string(i));
+  EXPECT_EQ(channel.size(), kCapacity);
+  EXPECT_EQ(channel.evicted(), 0u);
+
+  for (size_t i = kCapacity; i < kCapacity + 10; ++i) {
+    channel.Append("line " + std::to_string(i));
+  }
+  EXPECT_EQ(channel.size(), kCapacity);
+  EXPECT_EQ(channel.evicted(), 10u);
+  std::vector<std::string> lines = channel.lines();
+  ASSERT_EQ(lines.size(), kCapacity);
+  for (size_t i = 0; i < kCapacity; ++i) {
+    ASSERT_EQ(lines[i], "line " + std::to_string(i + 10)) << i;
+  }
+  EXPECT_FALSE(channel.Contains("line 9\n"));
+  EXPECT_FALSE(channel.ToString().find("line 9\n") != std::string::npos);
+  EXPECT_NE(channel.ToString().find("line 10\n"), std::string::npos);
+
+  // Clear empties the ring; the count of evicted entries stays, and the
+  // ring fills from the start again.
+  channel.Clear();
+  EXPECT_EQ(channel.size(), 0u);
+  EXPECT_EQ(channel.evicted(), 10u);
+  channel.Append("fresh");
+  EXPECT_EQ(channel.lines(), std::vector<std::string>{"fresh"});
+}
+
+TEST(ReportChannelTest, ClearAndEvictionDropTheSharedEvents) {
+  Catalog catalog = Catalog::RetailDemo();
+  EventPtr cleared = ShelfReading(catalog, "TAG-A");
+  EventPtr evicted = ShelfReading(catalog, "TAG-B");
+  ReportChannel channel("events");
+  channel.AppendEvent(cleared, catalog);
+  EXPECT_EQ(cleared.use_count(), 2);
+  channel.Clear();
+  EXPECT_EQ(cleared.use_count(), 1);
+
+  channel.AppendEvent(evicted, catalog);
+  EXPECT_EQ(evicted.use_count(), 2);
+  for (size_t i = 0; i < ReportChannel::kCapacity; ++i) channel.Append("x");
+  EXPECT_EQ(evicted.use_count(), 1);
+  EXPECT_EQ(channel.evicted(), 1u);
+}
+
+TEST(ReportChannelTest, EchoPrintsEachEntryAtAppend) {
+  Catalog catalog = Catalog::RetailDemo();
+  EventPtr event = ShelfReading(catalog, "TAG-A");
+  auto record = std::make_shared<OutputRecord>();
+  record->timestamp = 2;
+  record->names = {"A"};
+  record->values = {Value(1)};
+
+  ReportChannel channel("W", /*echo=*/true);
+  testing::internal::CaptureStdout();
+  channel.Append("hello");
+  channel.AppendEvent(event, catalog);
+  channel.AppendRecord(record, std::make_shared<const std::string>("[q] "));
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "[W] hello\n[W] SHELF_READING@7{TagId=TAG-A, AreaId=3, ProductName=NULL}\n"
+            "[W] [q] out@2{A=1}\n");
 }
 
 TEST(ReportBoardTest, ChannelsCreatedOnFirstUse) {

@@ -516,6 +516,83 @@ TEST(ShardedRuntimeTest, ZeroIntervalIsClampedToOneEventRounds) {
   EXPECT_EQ(count, 8);
 }
 
+// --- Delivery triggers -------------------------------------------------------
+
+/// The `i`-th shelf reading of a one-query stream: tag TAG<i % 16>, ts i + 1.
+EventPtr ShelfEvent(const Catalog& catalog, uint64_t i) {
+  EventBuilder b(catalog, "SHELF_READING");
+  auto e = b.Set("TagId", "TAG" + std::to_string(i % 16))
+               .Set("AreaId", int64_t{1})
+               .Build(static_cast<Timestamp>(i + 1),
+                      static_cast<SequenceNumber>(i));
+  EXPECT_TRUE(e.ok());
+  return e.value();
+}
+
+TEST(ShardedRuntimeDeliveryTest, DispatchAfterAnIdleGapEndsTheRound) {
+  // A burst far shorter than merge_interval, a pause, then one event: that
+  // dispatch ends the round, so the burst reaches the workers now rather
+  // than merge_interval events later, and its records go out as soon as the
+  // workers ack — long before the next merge_interval boundary. The later
+  // dispatches only give the dispatcher a chance to see the acks.
+  Catalog catalog = Catalog::RetailDemo();
+  RuntimeConfig config;
+  config.shard_count = 2;
+  config.merge_interval = 1u << 20;
+  ShardedRuntime runtime(&catalog, config);
+  uint64_t delivered = 0;
+  ASSERT_TRUE(runtime
+                  .Register("EVENT SHELF_READING s RETURN s.TagId",
+                            [&delivered](const OutputRecord&) { ++delivered; })
+                  .ok());
+  constexpr uint64_t kBurst = 32;
+  uint64_t next = 0;
+  for (; next < kBurst; ++next) runtime.OnEvent(ShelfEvent(catalog, next));
+  EXPECT_EQ(delivered, 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  runtime.OnEvent(ShelfEvent(catalog, next++));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (delivered < kBurst && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    runtime.OnEvent(ShelfEvent(catalog, next++));
+  }
+  EXPECT_GE(delivered, kBurst)
+      << "the burst waited for the merge_interval boundary";
+  EXPECT_LT(next, config.merge_interval);
+  runtime.OnFlush();
+  EXPECT_EQ(delivered, next);
+}
+
+TEST(ShardedRuntimeDeliveryTest, RecordsGoOutOnTheDispatchThatSeesTheAck) {
+  // One full round, a pause far longer than the worker needs to ack it, then
+  // one event. Nothing was dispatched since the round ended, so that event
+  // ends no round; it delivers the first round's records because it sees
+  // the ack, not at the next merge_interval boundary. One shard, so its ack
+  // certifies the whole round (with more, the round's last event is
+  // certified only once every shard has claimed past it).
+  Catalog catalog = Catalog::RetailDemo();
+  RuntimeConfig config;
+  config.shard_count = 1;
+  config.merge_interval = 256;
+  ShardedRuntime runtime(&catalog, config);
+  uint64_t delivered = 0;
+  ASSERT_TRUE(runtime
+                  .Register("EVENT SHELF_READING s RETURN s.TagId",
+                            [&delivered](const OutputRecord&) { ++delivered; })
+                  .ok());
+  uint64_t next = 0;
+  for (; next < config.merge_interval; ++next) {
+    runtime.OnEvent(ShelfEvent(catalog, next));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  runtime.OnEvent(ShelfEvent(catalog, next++));
+  EXPECT_EQ(delivered, config.merge_interval)
+      << "the acknowledged round waited for the next merge_interval boundary";
+  runtime.OnFlush();
+  EXPECT_EQ(delivered, next);
+}
+
 // --- Dispatch-log compaction (memory bound) ----------------------------------
 
 TEST(DispatchLogCompactionTest, LogStaysBoundedOnLongStream) {
@@ -1489,6 +1566,22 @@ TEST(QueryEngineRuntimeSupportTest, WatermarkReleasesTailNegation) {
   EXPECT_EQ(outputs, 0);
   engine.OnWatermark(7);
   EXPECT_EQ(outputs, 1);
+
+  // Without `prune` a watermark releases the same way but leaves expired
+  // state to the next pruning one: the exit candidate of another tag
+  // outlives its 2W horizon until then.
+  EventBuilder exits(catalog, "EXIT_READING");
+  auto exit = exits.Set("TagId", "U").Set("AreaId", 3).Build(8, 1);
+  auto again = b.Set("TagId", "T").Set("AreaId", 0).Build(9, 2);
+  ASSERT_TRUE(exit.ok() && again.ok());
+  engine.OnEvent(exit.value());
+  engine.OnEvent(again.value());
+  const Negation& negation = engine.plan(id.value())->negation();
+  engine.OnWatermark(100, /*prune=*/false);
+  EXPECT_EQ(outputs, 2);
+  EXPECT_EQ(negation.StateFootprint().buffered, 1u);
+  engine.OnWatermark(100);
+  EXPECT_EQ(negation.StateFootprint().buffered, 0u);
 }
 
 TEST(QueryEngineRuntimeSupportTest, StreamWatermarkReleasesNamedStreamDeferral) {

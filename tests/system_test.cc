@@ -158,6 +158,67 @@ TEST_F(SystemTest, AdHocSqlOverEventDatabase) {
   EXPECT_GT(events.value().rows.size(), 0u);
 }
 
+TEST(SystemReportBoundTest, ChannelsKeepTheNewestEntriesOfALongRun) {
+  // A long run that never clears its channels: each window keeps only the
+  // newest ReportChannel::kCapacity entries and counts the rest as evicted.
+  // The raw-event archive is off, because its table grows by design.
+  constexpr size_t kCapacity = ReportChannel::kCapacity;
+  SystemConfig config;
+  config.noise = NoiseModel::Perfect();
+  config.archive_raw_events = false;
+  SaseSystem system(StoreLayout::RetailDemo(), config);
+  uint64_t records = 0;
+  ASSERT_TRUE(system
+                  .RegisterMonitoringQuery(
+                      "on-shelf", "EVENT SHELF_READING s RETURN s.TagId",
+                      [&records](const OutputRecord&) { ++records; })
+                  .ok());
+  std::vector<int> shelves =
+      system.simulator().layout().AreasByKind(AreaKind::kShelf);
+  ASSERT_FALSE(shelves.empty());
+  ScenarioScripter scripter(&system.simulator());
+  for (int i = 0; i < 200; ++i) {
+    system.AddProduct({MakeEpc(i), "Soap", "2027-01-01", true});
+    scripter.Restock(MakeEpc(i), shelves[static_cast<size_t>(i) % shelves.size()], 1);
+  }
+  system.RunUntil(220);
+  system.Flush();
+
+  const uint64_t events = system.cleaning().event_generation().stats().events_out;
+  ASSERT_GE(events, 10 * kCapacity);
+  ASSERT_GE(records, 10 * kCapacity);
+  ReportBoard& reports = system.reports();
+  for (const std::string& name : reports.ChannelNames()) {
+    EXPECT_LE(reports.Channel(name).size(), kCapacity) << name;
+  }
+  const ReportChannel& cleaned = reports.Channel(ReportBoard::kCleaningOutput);
+  EXPECT_EQ(cleaned.size(), kCapacity);
+  EXPECT_EQ(cleaned.evicted(), events - kCapacity);
+  for (const char* name :
+       {ReportBoard::kStreamOutput, ReportBoard::kMessageResults}) {
+    EXPECT_EQ(reports.Channel(name).size(), kCapacity) << name;
+    EXPECT_EQ(reports.Channel(name).evicted(), records - kCapacity) << name;
+  }
+  // The newest entries are the ones kept.
+  EXPECT_EQ(reports.Channel(ReportBoard::kMessageResults).lines().back(),
+            "[on-shelf] " +
+                reports.Channel(ReportBoard::kStreamOutput).lines().back());
+  EXPECT_EQ(reports.Channel(ReportBoard::kPresentQueries).evicted(), 0u);
+  // The scrape mirrors each channel's evictions.
+  ASSERT_NE(system.metrics(), nullptr);
+  system.ScrapeMetrics();
+  EXPECT_EQ(system.metrics()
+                ->GetCounter("sase_report_lines_evicted_total{channel=\""
+                             "cleaning_and_association_layer_output\"}")
+                ->Value(),
+            events - kCapacity);
+  EXPECT_EQ(system.metrics()
+                ->GetCounter("sase_report_lines_evicted_total{channel=\""
+                             "message_results\"}")
+                ->Value(),
+            records - kCapacity);
+}
+
 TEST_F(SystemTest, OnsMetadataFlowsIntoEvents) {
   AddDemoProducts();
   std::vector<OutputRecord> records;
