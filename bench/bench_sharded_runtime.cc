@@ -12,6 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench_util.h"
 #include "runtime/sharded_runtime.h"
 
@@ -73,40 +75,51 @@ BENCHMARK(BM_Serial64Queries)
     ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-/// Sharded runtime at state.range(0) shards, same workload. Registration and
-/// thread startup happen inside the timed loop, mirroring the serial
-/// baseline's per-iteration engine construction.
+/// Sharded runtime at state.range(0) shards, same workload, with scan
+/// sharing in every worker engine when state.range(1) = 1. As in the serial
+/// baseline only the feed and flush are timed: construction, registration
+/// and thread start happen before the timed region, and the teardown that
+/// joins the workers after it, so BM_Sharded64Queries/<n>/<sharing>
+/// compares directly with BM_Serial64Queries/<sharing>.
 void BM_Sharded64Queries(benchmark::State& state) {
   const auto& stream = Stream();
+  const bool sharing = state.range(1) != 0;
   uint64_t outputs = 0;
   for (auto _ : state) {
+    state.PauseTiming();
     RuntimeConfig config;
     config.shard_count = static_cast<int>(state.range(0));
-    ShardedRuntime runtime(&BenchCatalog(), config);
+    config.scan_sharing = sharing;
+    auto runtime = std::make_unique<ShardedRuntime>(&BenchCatalog(), config);
     uint64_t count = 0;
     for (int64_t i = 0; i < kQueries; ++i) {
-      auto id = runtime.Register(QueryVariant(i),
-                                 [&count](const OutputRecord&) { ++count; });
+      auto id = runtime->Register(QueryVariant(i),
+                                  [&count](const OutputRecord&) { ++count; });
       if (!id.ok()) {
         state.SkipWithError(id.status().ToString().c_str());
         return;
       }
-      if (!runtime.IsSharded(id.value())) {
+      if (!runtime->IsSharded(id.value())) {
         state.SkipWithError("workload query unexpectedly not shardable");
         return;
       }
     }
-    for (const auto& event : stream) runtime.OnEvent(event);
-    runtime.OnFlush();
+    state.ResumeTiming();
+    for (const auto& event : stream) runtime->OnEvent(event);
+    runtime->OnFlush();
+    state.PauseTiming();
     outputs = count;
+    runtime.reset();
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * kEventCount);
   state.counters["shards"] = static_cast<double>(state.range(0));
+  state.counters["sharing"] = static_cast<double>(sharing ? 1 : 0);
   state.counters["total_alerts"] = static_cast<double>(outputs);
 }
 
 BENCHMARK(BM_Sharded64Queries)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -182,7 +195,7 @@ BENCHMARK(BM_LongStreamDispatchLog)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Elastic resize cost: run the 64-query workload and re-partition
+/// Resize cost: run the 64-query workload and re-partition
 /// mid-stream every state.range(0) events (0 = never, the baseline). The
 /// delta against the baseline is the quiesce + state hand-off +
 /// thread-restart cost of each resize.

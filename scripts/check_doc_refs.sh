@@ -6,11 +6,13 @@
 #     like a repo path: contains a slash or ends in a known source/doc
 #     extension. Tokens under build/ are ignored (they only exist after a
 #     build).
-#  2. Config knobs: every knob named in docs/operations.md's knob tables
-#     (rows of the form "| `knob_name` | ...") must exist as an
+#  2. Config knobs, both ways: every knob named in docs/operations.md's
+#     knob tables (rows of the form "| `knob_name` | ...") must exist as an
 #     identifier in src/system/sase_system.h, src/runtime/*.h,
 #     src/checkpoint/*.h or src/obs/*.h, so the tuning guide cannot
-#     document a knob that was renamed or removed.
+#     document a knob that was renamed or removed; and every data member
+#     of SystemConfig, RuntimeConfig, CheckpointConfig and ObsConfig must
+#     have such a row, so a knob cannot be added without one.
 #  3. Metric catalog: docs/observability.md's catalog rows
 #     ("| `sase_...` | ...") are checked against the registry call sites
 #     in src/ BOTH ways — a documented metric must exist in the code, and
@@ -42,7 +44,29 @@ for doc in README.md docs/language.md docs/operations.md docs/architecture.md do
   done
 done
 
-# --- knob existence check (docs/operations.md vs the config headers) ---
+# --- knob checks (docs/operations.md vs the config headers, both ways) ---
+# Prints the data members of struct <name> in <header>: the last identifier
+# of each one-line declaration directly inside the struct's braces,
+# skipping comments, functions and type declarations.
+config_members() {
+  awk -v name="$2" '
+    $0 ~ "^[[:space:]]*struct " name "[[:space:]]*[{]" { inside = 1; depth = 0 }
+    inside {
+      code = $0
+      sub(/\/\/.*/, "", code)
+      if (depth == 1 && code ~ /;[[:space:]]*$/ && code !~ /[()]/ &&
+          code !~ /^[[:space:]]*([}]|static |using |enum |struct |friend )/) {
+        decl = code
+        sub(/[[:space:]]*(=.*|[{].*)?;[[:space:]]*$/, "", decl)
+        n = split(decl, words, /[^A-Za-z0-9_]+/)
+        print words[n]
+      }
+      opens = gsub(/[{]/, "{", code)
+      closes = gsub(/[}]/, "}", code)
+      depth += opens - closes
+      if (depth <= 0 && closes > 0) inside = 0
+    }' "$1"
+}
 knob_doc=docs/operations.md
 if [[ -f "$knob_doc" ]]; then
   knobs=$(grep -oE '^\| `[A-Za-z_][A-Za-z0-9_]*`' "$knob_doc" \
@@ -59,6 +83,25 @@ if [[ -f "$knob_doc" ]]; then
            "or src/obs/*.h"
       status=1
     fi
+  done
+  # Every field of the four config structs has a row.
+  for spec in "src/system/sase_system.h SystemConfig" \
+              "src/runtime/sharded_runtime.h RuntimeConfig" \
+              "src/checkpoint/checkpoint_policy.h CheckpointConfig" \
+              "src/obs/metrics.h ObsConfig"; do
+    read -r header struct <<< "$spec"
+    members=$(config_members "$header" "$struct")
+    if [[ -z "$members" ]]; then
+      echo "NO MEMBERS found for struct $struct in $header (renamed or moved?)"
+      status=1
+    fi
+    for member in $members; do
+      if ! grep -qF "| \`${member}\` |" "$knob_doc"; then
+        echo "UNDOCUMENTED KNOB: $struct::$member ($header) has no" \
+             "'| \`$member\` |' row in $knob_doc"
+        status=1
+      fi
+    done
   done
 fi
 

@@ -85,9 +85,9 @@ struct CheckpointSample {
 
 enum class CheckpointDecision { kHold, kCheckpoint };
 
-/// Pure decision core of the automatic checkpointer, in the style of
-/// ElasticPolicy: thresholds only, no clocks, no filesystem and no system
-/// dependencies, so the trigger behavior is unit-testable in isolation.
+/// Pure decision core of the automatic checkpointer: thresholds only, no
+/// clocks, no filesystem and no system dependencies, so the trigger
+/// behavior is unit-testable in isolation.
 /// The system samples after every fully processed event, acts on
 /// kCheckpoint, and calls NoteCheckpoint() when a snapshot completes (or
 /// failed, to re-arm the interval rather than retry every event).

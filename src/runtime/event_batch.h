@@ -140,8 +140,8 @@ class SpscRing {
 
   void Close() { closed_.store(true, std::memory_order_release); }
 
-  /// Re-arms a closed ring so a new consumer thread can attach (the elastic
-  /// resize drains and joins a worker, then restarts it on the same ring).
+  /// Re-arms a closed ring so a new consumer thread can attach (a shard
+  /// rebuild drains and joins a worker, then restarts it on the same ring).
   /// Only legal when the previous consumer has exited and the ring is empty.
   void Reopen() { closed_.store(false, std::memory_order_release); }
 

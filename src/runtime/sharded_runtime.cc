@@ -18,12 +18,10 @@ ShardedRuntime::ShardedRuntime(const Catalog* catalog, RuntimeConfig config,
     : catalog_(catalog), config_(config),
       partitioner_(catalog, config_.partition_key,
                    std::max(1, config_.shard_count)),
-      merger_(config_.log_compact_min), policy_(config.elastic),
-      engine_init_(std::move(engine_init)) {
+      merger_(config_.log_compact_min), engine_init_(std::move(engine_init)) {
   config_.shard_count = std::max(1, config_.shard_count);
   config_.merge_interval = std::max<size_t>(1, config_.merge_interval);
   stream_queries_.resize(partitioner_.streams().size());
-  last_check_time_ = std::chrono::steady_clock::now();
   obs_stamp_ = config_.metrics != nullptr || config_.tracer != nullptr;
   if (config_.metrics != nullptr) {
     dispatch_merge_latency_ =
@@ -383,39 +381,6 @@ void ShardedRuntime::RebuildShards(int shard_count,
   resizing_ = false;
 }
 
-void ShardedRuntime::MaybeAutoResize() {
-  // Schedule off the policy's sanitized copy of the config (it clamps
-  // check_interval to >= 1 etc.), so one validated view exists.
-  const ElasticConfig& elastic = policy_.config();
-  if (events_dispatched_ - last_check_global_ < elastic.check_interval) {
-    return;
-  }
-  auto now = std::chrono::steady_clock::now();
-  LoadSample sample;
-  sample.shards = config_.shard_count;
-  double frac_sum = 0;
-  for (int s = 0; s < config_.shard_count; ++s) {
-    const SpscRing<EventBatch>& queue = workers_[static_cast<size_t>(s)]->queue;
-    frac_sum += static_cast<double>(queue.ApproxSize()) /
-                static_cast<double>(queue.capacity());
-  }
-  sample.avg_queue_frac = frac_sum / config_.shard_count;
-  double seconds = std::chrono::duration<double>(now - last_check_time_).count();
-  if (seconds > 0) {
-    sample.events_per_sec_per_shard =
-        static_cast<double>(events_dispatched_ - last_check_global_) /
-        seconds / config_.shard_count;
-  }
-  last_check_global_ = events_dispatched_;
-  last_check_time_ = now;
-
-  ElasticDecision decision = policy_.Evaluate(sample);
-  if (decision == ElasticDecision::kHold) return;
-  int target = policy_.NextShardCount(decision, config_.shard_count);
-  if (target == config_.shard_count) return;
-  (void)Resize(target);
-}
-
 Status ShardedRuntime::ExportCheckpoint(checkpoint::SystemSnapshot* snap) {
   if (resizing_) {
     return Status::FailedPrecondition(
@@ -581,7 +546,6 @@ Status ShardedRuntime::RestoreCheckpoint(const checkpoint::SystemSnapshot& snap,
   any_routed_ = snap.any_routed;
   routed_stream_ = snap.routed_stream;
   multi_routed_ = snap.multi_routed;
-  last_check_global_ = events_dispatched_;
   hotkey_check_global_ = events_dispatched_;
 
   // Back to the configured shape through the ordinary per-key hand-off.
@@ -727,7 +691,6 @@ void ShardedRuntime::Dispatch(StreamId stream, const std::string& name,
   // only at round ends.
   DeliverReady();
   if (config_.hotkey_mitigation) MaybeMitigateHotKeys();
-  if (config_.elastic.enabled) MaybeAutoResize();
 }
 
 void ShardedRuntime::MaybeMitigateHotKeys() {
@@ -1040,7 +1003,6 @@ ShardedRuntime::RuntimeStats ShardedRuntime::FullStats() {
   stats.resizes = resizes_;
   stats.grows = grows_;
   stats.shrinks = shrinks_;
-  stats.elastic_checks = policy_.checks();
   return stats;
 }
 
@@ -1068,7 +1030,6 @@ std::string ShardedRuntime::StatsReport() {
              .Kv("up", grows_)
              .Kv("down", shrinks_)
              .Str();
-  out << policy_.Describe() << "\n";
   if (config_.hotkey_mitigation) {
     out << obs::ReportLine("hot-key splits:")
                .Kv("active", partitioner_.split_count())
@@ -1180,8 +1141,6 @@ void ShardedRuntime::ScrapeMetrics() {
       ->Set(grows_);
   metrics->GetCounter("sase_runtime_resizes_total{direction=\"down\"}")
       ->Set(shrinks_);
-  metrics->GetCounter("sase_runtime_elastic_checks_total")
-      ->Set(policy_.checks());
   metrics->GetGauge("sase_runtime_shards")->Set(config_.shard_count);
   metrics->GetGauge("sase_runtime_merge_pending")
       ->Set(static_cast<int64_t>(merger_.pending_count()));

@@ -2,7 +2,6 @@
 #define SASE_RUNTIME_SHARDED_RUNTIME_H_
 
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -21,7 +20,6 @@
 #include "engine/query_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/elastic_policy.h"
 #include "runtime/event_batch.h"
 #include "runtime/output_merger.h"
 #include "runtime/partitioner.h"
@@ -53,10 +51,6 @@ struct RuntimeConfig {
   /// Dead dispatch-log prefix entries a stream log accumulates before the
   /// merger physically truncates it (amortizes the erase).
   size_t log_compact_min = 1024;
-  /// Load-driven shard autoscaling (off by default); see
-  /// runtime/elastic_policy.h for the thresholds and ShardedRuntime::Resize
-  /// for the mechanism it triggers.
-  ElasticConfig elastic;
   TimeConfig time_config;
   /// Optional metrics registry (not owned; must outlive the runtime). When
   /// set, every worker engine records per-query operator latency, the
@@ -146,11 +140,11 @@ struct RuntimeConfig {
 /// events per worker plus a few rounds of log — independent of total
 /// stream length.
 ///
-/// Elasticity: Resize(n) re-partitions mid-stream at a quiesce point,
+/// Layout changes: Resize(n) re-partitions mid-stream at a quiesce point,
 /// handing each key's operator state to the shard that owns the key under
-/// the new layout (see the method comment), and RuntimeConfig::elastic
-/// turns on a load-driven autoscaler that calls it automatically with
-/// hysteresis (runtime/elastic_policy.h).
+/// the new layout (see the method comment). The layout changes only through
+/// an explicit Resize, checkpoint restore, or a hot-key split, which is
+/// decided on an event-count cadence; nothing resizes on load or time.
 ///
 /// Threading contract: Register/Unregister/OnEvent/OnStreamEvent/OnFlush/
 /// WaitIdle are called from ONE dispatcher thread (the stream's producer).
@@ -290,7 +284,7 @@ class ShardedRuntime : public EventSink {
   /// only — their counters restart at zero at a resize.
   QueryEngine::EngineStats Stats();
 
-  // Elastic / resize health (live — no quiesce).
+  // Resize health (live — no quiesce).
   uint64_t resize_count() const { return resizes_; }
   uint64_t grow_count() const { return grows_; }
   uint64_t shrink_count() const { return shrinks_; }
@@ -300,14 +294,13 @@ class ShardedRuntime : public EventSink {
   uint64_t hotkey_spread_splits() const { return hotkey_spread_splits_; }
   uint64_t hotkey_secondary_splits() const { return hotkey_secondary_splits_; }
   uint64_t hotkey_split_refusals() const { return hotkey_split_refusals_; }
-  const ElasticPolicy& elastic_policy() const { return policy_; }
   /// Shared-scan activity summed over every worker engine. Reads the
   /// engines, so call from the dispatcher thread at a quiesce point
   /// (after WaitIdle or OnFlush).
   uint64_t shared_scan_hits() const;
 
   /// Fleet-wide runtime counters: the aggregated engine view plus dispatch,
-  /// merge, dispatch-log and elastic/resize health (quiesces first).
+  /// merge, dispatch-log and resize health (quiesces first).
   struct RuntimeStats {
     QueryEngine::EngineStats engine;
     uint64_t events_dispatched = 0;
@@ -318,12 +311,11 @@ class ShardedRuntime : public EventSink {
     uint64_t log_compactions = 0;
     uint64_t log_entries_compacted = 0;
     size_t stream_count = 0;  // interned input streams (incl. default)
-    // --- elastic / resize ---
+    // --- resize ---
     int shard_count = 0;           // current layout
-    uint64_t resizes = 0;          // completed Resize() calls (manual + auto)
+    uint64_t resizes = 0;          // completed Resize() calls
     uint64_t grows = 0;            // resizes that increased the shard count
     uint64_t shrinks = 0;          // resizes that decreased it
-    uint64_t elastic_checks = 0;   // policy evaluations
   };
   RuntimeStats FullStats();
 
@@ -511,9 +503,6 @@ class ShardedRuntime : public EventSink {
   /// set lacks are unsplit with a shard rebuild. Keeps correctness ahead of
   /// mitigation.
   void ResolveSplitConflicts(const QueryEntry& entry);
-  /// Elastic policy tick: samples queue occupancy + event rate every
-  /// check_interval dispatched events and resizes on a grow/shrink verdict.
-  void MaybeAutoResize();
   /// Books a finished delivery at `threshold`: records dispatch->merge
   /// watermark latency for pending merge marks, and closes sampled events'
   /// "merge" and "emit" spans. `t0`/`t1` bracket the callback loop.
@@ -523,7 +512,6 @@ class ShardedRuntime : public EventSink {
   RuntimeConfig config_;
   Partitioner partitioner_;
   OutputMerger merger_;
-  ElasticPolicy policy_;
   EngineInit engine_init_;
 
   std::vector<std::unique_ptr<Worker>> workers_;  // shards + broadcast
@@ -548,15 +536,13 @@ class ShardedRuntime : public EventSink {
   /// quiesce point see it and ExportCheckpoint refuses.
   bool resizing_ = false;
 
-  // Elastic / resize health.
+  // Resize health.
   /// Counters of shard engines retired by past resizes, so fleet-wide
   /// Stats() stays continuous across layout changes.
   QueryEngine::EngineStats retired_engine_stats_;
   uint64_t resizes_ = 0;
   uint64_t grows_ = 0;
   uint64_t shrinks_ = 0;
-  uint64_t last_check_global_ = 0;
-  std::chrono::steady_clock::time_point last_check_time_{};
   // Hot-key mitigation bookkeeping (dispatcher thread only).
   uint64_t hotkey_check_global_ = 0;  // dispatch index of the last check
   uint64_t hotkey_spread_splits_ = 0;

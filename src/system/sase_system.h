@@ -52,11 +52,6 @@ struct SystemConfig {
   /// The runtime's one cadence, dispatched events per round; see
   /// RuntimeConfig::merge_interval.
   size_t runtime_merge_interval = 256;
-  /// Load-driven shard autoscaling (`runtime_elastic.enabled = true` turns
-  /// it on; requires shard_count >= 2 so a runtime exists). Thresholds,
-  /// bounds and hysteresis: see ElasticConfig in runtime/elastic_policy.h
-  /// and docs/operations.md.
-  ElasticConfig runtime_elastic;
   /// Hot-key mitigation: when a key's share of a stream's keyed events
   /// reaches `hotkey_split_threshold` percent (after `hotkey_min_events`
   /// keyed events), the runtime splits the key — round-robin spread for

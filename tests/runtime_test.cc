@@ -896,98 +896,7 @@ TEST(ShardedRuntimeFromStreamTest, MixedStreamsInterleaveInDispatchOrder) {
   }
 }
 
-// --- Elastic policy (decision core) ------------------------------------------
-
-TEST(ElasticPolicyTest, GrowsAfterHysteresisAndRespectsCooldown) {
-  ElasticConfig config;
-  config.enabled = true;
-  config.min_shards = 1;
-  config.max_shards = 8;
-  config.grow_queue_frac = 0.5;
-  config.shrink_queue_frac = 0.05;
-  config.hysteresis = 2;
-  config.cooldown = 3;
-  ElasticPolicy policy(config);
-
-  LoadSample hot;
-  hot.shards = 2;
-  hot.avg_queue_frac = 0.9;
-  // One hot sample is noise; the second confirms.
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kHold);
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kGrow);
-  EXPECT_EQ(policy.NextShardCount(ElasticDecision::kGrow, 2), 4);
-  // Cooldown: the next 3 checks hold even under sustained pressure.
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kHold);
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kHold);
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kHold);
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kHold);  // streak rebuild
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kGrow);
-  EXPECT_EQ(policy.grow_decisions(), 2u);
-}
-
-TEST(ElasticPolicyTest, ShrinksWhenIdleAndClampsAtBounds) {
-  ElasticConfig config;
-  config.min_shards = 2;
-  config.max_shards = 8;
-  config.hysteresis = 2;
-  config.cooldown = 0;
-  ElasticPolicy policy(config);
-
-  LoadSample idle;
-  idle.shards = 4;
-  idle.avg_queue_frac = 0.0;
-  EXPECT_EQ(policy.Evaluate(idle), ElasticDecision::kHold);
-  EXPECT_EQ(policy.Evaluate(idle), ElasticDecision::kShrink);
-  EXPECT_EQ(policy.NextShardCount(ElasticDecision::kShrink, 4), 2);
-  EXPECT_EQ(policy.NextShardCount(ElasticDecision::kShrink, 2), 2);  // clamp
-
-  // At the floor, sustained idleness never fires.
-  idle.shards = 2;
-  EXPECT_EQ(policy.Evaluate(idle), ElasticDecision::kHold);
-  EXPECT_EQ(policy.Evaluate(idle), ElasticDecision::kHold);
-  EXPECT_EQ(policy.shrink_decisions(), 1u);
-
-  // At the ceiling, pressure never fires either.
-  LoadSample hot;
-  hot.shards = 8;
-  hot.avg_queue_frac = 1.0;
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kHold);
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kHold);
-  EXPECT_EQ(policy.grow_decisions(), 0u);
-}
-
-TEST(ElasticPolicyTest, MixedSamplesResetStreaks) {
-  ElasticConfig config;
-  config.hysteresis = 2;
-  config.cooldown = 0;
-  config.max_shards = 8;
-  ElasticPolicy policy(config);
-  LoadSample hot, calm;
-  hot.shards = calm.shards = 2;
-  hot.avg_queue_frac = 0.9;
-  calm.avg_queue_frac = 0.2;  // neither hot nor idle
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kHold);
-  EXPECT_EQ(policy.Evaluate(calm), ElasticDecision::kHold);  // streak broken
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kHold);
-  EXPECT_EQ(policy.Evaluate(hot), ElasticDecision::kGrow);
-}
-
-TEST(ElasticPolicyTest, RateSignalGrowsWhenEnabled) {
-  ElasticConfig config;
-  config.hysteresis = 1;
-  config.cooldown = 0;
-  config.max_shards = 8;
-  config.grow_queue_frac = 0.99;                // queue signal out of the way
-  config.grow_events_per_sec_per_shard = 1000;  // rate signal on
-  ElasticPolicy policy(config);
-  LoadSample sample;
-  sample.shards = 2;
-  sample.avg_queue_frac = 0.0;
-  sample.events_per_sec_per_shard = 5000;
-  EXPECT_EQ(policy.Evaluate(sample), ElasticDecision::kGrow);
-}
-
-// --- Elastic resize (the tentpole) -------------------------------------------
+// --- Resize --------------------------------------------------------------------
 
 /// Feeds `trace` interleaved across the default input and a named stream
 /// (even positions -> default, odd -> "belt"), resizing the runtime at the
@@ -1270,39 +1179,24 @@ TEST(ShardedRuntimeResizeTest, WithinLessStatefulQueriesResizeByteIdentical) {
   EXPECT_EQ(runtime.shard_count(), 3);
 }
 
-TEST(ShardedRuntimeElasticTest, BackpressureGrowsTheFleet) {
-  // Integration: a deliberately slow per-event UDF makes the workers fall
-  // behind, queues fill, and the autoscaler must grow the shard count —
-  // without losing or duplicating a single output record.
+TEST(ShardedRuntimeResizeTest, ResizesWhileTheRingsAreBackedUp) {
+  // A 100 us per-event UDF makes the workers fall far behind the
+  // dispatcher, which then blocks on the busiest shard's full 4-slot ring.
+  // It resizes 1 -> 2 -> 4 -> 1 shards at fixed positions, so every resize
+  // starts with a full ring to drain before the hand-off, and no output
+  // record may be lost, duplicated or reordered against the serial engine.
   Catalog catalog = Catalog::RetailDemo();
-  RuntimeConfig config;
-  config.shard_count = 1;
-  config.queue_capacity = 4;
-  config.merge_interval = 8;
-  config.elastic.enabled = true;
-  config.elastic.min_shards = 1;
-  config.elastic.max_shards = 4;
-  config.elastic.check_interval = 128;
-  config.elastic.grow_queue_frac = 0.25;
-  config.elastic.shrink_queue_frac = 0.0;  // 0 disables shrinking (strict <)
-  config.elastic.hysteresis = 1;
-  config.elastic.cooldown = 1;
-  ShardedRuntime runtime(
-      &catalog, config, [](QueryEngine& engine) {
-        (void)engine.functions()->Register(
-            "slow_pass", 1, [](const std::vector<Value>& args) {
-              std::this_thread::sleep_for(std::chrono::microseconds(100));
-              return Result<Value>(args[0]);
-            });
-      });
-  uint64_t outputs = 0;
-  auto id = runtime.Register(
-      "EVENT SHELF_READING s WHERE slow_pass(s.AreaId) >= 0 RETURN s.TagId",
-      [&outputs](const OutputRecord&) { ++outputs; });
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  ASSERT_TRUE(runtime.IsSharded(id.value()));
-
+  auto install = [](QueryEngine& engine, bool slow) {
+    (void)engine.functions()->Register(
+        "slow_pass", 1, [slow](const std::vector<Value>& args) {
+          if (slow) std::this_thread::sleep_for(std::chrono::microseconds(100));
+          return Result<Value>(args[0]);
+        });
+  };
+  const char* kQuery =
+      "EVENT SHELF_READING s WHERE slow_pass(s.AreaId) >= 0 RETURN s.TagId";
   constexpr uint64_t kEvents = 2000;
+  std::vector<EventPtr> events;
   for (uint64_t i = 0; i < kEvents; ++i) {
     EventBuilder b(catalog, "SHELF_READING");
     auto e = b.Set("TagId", "TAG" + std::to_string(i % 32))
@@ -1310,13 +1204,56 @@ TEST(ShardedRuntimeElasticTest, BackpressureGrowsTheFleet) {
                  .Build(static_cast<Timestamp>(1 + i / 8),
                         static_cast<SequenceNumber>(i));
     ASSERT_TRUE(e.ok());
-    runtime.OnEvent(e.value());
+    events.push_back(e.value());
+  }
+
+  std::vector<std::string> serial;
+  {
+    QueryEngine engine(&catalog);
+    install(engine, false);
+    ASSERT_TRUE(engine
+                    .Register(kQuery,
+                              [&serial](const OutputRecord& record) {
+                                serial.push_back(record.ToString());
+                              })
+                    .ok());
+    for (const EventPtr& event : events) engine.OnEvent(event);
+    engine.OnFlush();
+  }
+  ASSERT_EQ(serial.size(), kEvents);  // every shelf reading passes
+
+  RuntimeConfig config;
+  config.shard_count = 1;
+  config.queue_capacity = 4;
+  config.merge_interval = 8;
+  ShardedRuntime runtime(&catalog, config,
+                         [&install](QueryEngine& engine) { install(engine, true); });
+  std::vector<std::string> sharded;
+  auto id = runtime.Register(kQuery, [&sharded](const OutputRecord& record) {
+    sharded.push_back(record.ToString());
+  });
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(runtime.IsSharded(id.value()));
+
+  // Positions off the 8-event round boundary: the last dispatched event
+  // still sits in its unsent batch, so the workers are behind by
+  // construction, whatever the scheduler did.
+  const std::map<size_t, int> resizes_at = {{501, 2}, {1003, 4}, {1505, 1}};
+  for (size_t i = 0; i < events.size(); ++i) {
+    auto it = resizes_at.find(i);
+    if (it != resizes_at.end()) {
+      EXPECT_LT(sharded.size(), i) << "workers caught up before event " << i;
+      ASSERT_TRUE(runtime.Resize(it->second).ok()) << "at event " << i;
+      ASSERT_EQ(runtime.shard_count(), it->second);
+    }
+    runtime.OnEvent(events[i]);
   }
   runtime.OnFlush();
-  EXPECT_EQ(outputs, kEvents);  // every shelf reading passes the predicate
-  EXPECT_GT(runtime.shard_count(), 1);
-  EXPECT_GE(runtime.grow_count(), 1u);
-  EXPECT_GT(runtime.elastic_policy().checks(), 0u);
+  EXPECT_EQ(sharded.size(), kEvents);
+  EXPECT_EQ(serial, sharded);
+  EXPECT_EQ(runtime.resize_count(), 3u);
+  EXPECT_EQ(runtime.grow_count(), 2u);
+  EXPECT_EQ(runtime.shrink_count(), 1u);
 }
 
 // --- Per-batch merge progress under interleaved streams ----------------------
@@ -1502,10 +1439,9 @@ TEST(ShardedRuntimeTest, StatsReportCarriesAllDocumentedLines) {
   EXPECT_NE(report.find(" peak="), std::string::npos) << report;
   EXPECT_NE(report.find(" compactions="), std::string::npos) << report;
   EXPECT_NE(report.find("entries reclaimed)"), std::string::npos) << report;
-  // Elastic / resize counters (this PR's lines).
+  // Resize counters.
   EXPECT_NE(report.find("resizes: total=1 up=1 down=0\n"), std::string::npos)
       << report;
-  EXPECT_NE(report.find("elastic off"), std::string::npos) << report;
   // One line per input stream with per-shard routing counts: the default
   // input and the named belt stream, each with a 4-slot shard vector.
   EXPECT_NE(report.find("stream <default>: events=2000"), std::string::npos)
